@@ -52,10 +52,6 @@
 
 #include "common/ring_buffer.hpp"
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 namespace evmp::common {
 
 /// Snapshot of a sharded queue's counters (values are monotone except
@@ -100,24 +96,9 @@ class ShardedMpmcQueue {
   }
 
   /// Stable home-shard index for the calling thread (also usable as the
-  /// `home` hint for pop()/try_pop()). With CPU-home mode on (EVMP_PIN
-  /// executors), the shard follows the CPU the caller runs on instead of
-  /// its thread identity, so shard locality tracks processor locality.
+  /// `home` hint for pop()/try_pop()).
   [[nodiscard]] std::size_t home_shard() const noexcept {
-    if (cpu_home_.load(std::memory_order_relaxed)) {
-#if defined(__linux__)
-      const int cpu = sched_getcpu();
-      if (cpu >= 0) return static_cast<std::size_t>(cpu) & mask_;
-#endif
-    }
     return thread_slot() & mask_;
-  }
-
-  /// Hash home shards by current CPU (Linux; falls back to thread slots
-  /// elsewhere or when sched_getcpu fails). Pair with pinned producers/
-  /// consumers so each CPU's traffic stays on its own shard.
-  void set_cpu_home(bool on) noexcept {
-    cpu_home_.store(on, std::memory_order_relaxed);
   }
 
   /// Soft bound on the queue's total depth, enforced by try_push /
@@ -225,12 +206,8 @@ class ShardedMpmcQueue {
   /// 0, items are left in a moved-from state only when admitted).
   /// Items keep their relative order (single shard ⇒ FIFO within batch).
   std::size_t push_batch(std::span<T> items) {
-    return push_batch_to(home_shard(), items);
-  }
-
-  std::size_t push_batch_to(std::size_t shard_index, std::span<T> items) {
     if (items.empty()) return 0;
-    Shard& s = shard(shard_index);
+    Shard& s = shard(home_shard());
     {
       std::unique_lock lk(s.mu, std::try_to_lock);
       if (!lk.owns_lock()) {
@@ -442,7 +419,6 @@ class ShardedMpmcQueue {
   std::atomic<std::uint64_t> gen_{0};
   std::atomic<std::size_t> sleepers_{0};
   std::atomic<bool> closed_{false};
-  std::atomic<bool> cpu_home_{false};
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> capacity_{0};
 

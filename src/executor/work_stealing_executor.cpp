@@ -1,8 +1,7 @@
 #include "executor/work_stealing_executor.hpp"
 
-#include <algorithm>
-#include <array>
 #include <string>
+#include <thread>
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
@@ -15,11 +14,6 @@ namespace {
 // worker_main; -1 on foreign threads).
 thread_local const WorkStealingExecutor* t_pool = nullptr;
 thread_local int t_worker_index = -1;
-
-// Foreign post_batch() wraps tasks in nodes through this stack staging
-// area, one injection push_batch per chunk — bounded so a burst of any
-// size stays allocation-free here.
-constexpr std::size_t kBatchChunk = 64;
 }  // namespace
 
 WorkStealingExecutor::WorkStealingExecutor(std::string pool_name,
@@ -47,11 +41,6 @@ WorkStealingExecutor::WorkStealingExecutor(std::string pool_name,
     worker->cpu = topo.cpu(topo.cpu_for_worker(i)).id;
     workers_.push_back(std::move(worker));
   }
-  if (pin_workers_) {
-    // Producer locality → shard locality: hash foreign posts by the CPU
-    // they run on instead of by thread identity.
-    injection_.set_cpu_home(true);
-  }
   threads_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this, i] { worker_main(static_cast<int>(i)); });
@@ -70,16 +59,18 @@ void WorkStealingExecutor::post(Task task) {
                   << "' was dropped";
     return;
   }
-  TaskNode* node = NodePool::acquire();
-  node->fn = std::move(task);
+  TaskNode* node = make_task_node(std::move(task));
   const int self = current_worker_index();
   if (self >= 0) {
     // Own deque, LIFO end: no lock, no RMW — slot store + release fence.
     workers_[static_cast<std::size_t>(self)]->deque.push_bottom(node);
   } else {
     // Foreign threads may not touch a Chase–Lev bottom; inject instead.
+    injected_.fetch_add(1, std::memory_order_relaxed);
     injection_.push(node);
   }
+  // After the push returned, so the node is linked: a worker that found
+  // the list cut at this node is re-run by this notify (see worker_main).
   idle_.notify_one();
 }
 
@@ -96,26 +87,14 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
     // Own deque: append in order behind existing work, like N posts.
     auto& deque = workers_[static_cast<std::size_t>(self)]->deque;
     for (Task& task : tasks) {
-      TaskNode* node = NodePool::acquire();
-      node->fn = std::move(task);
-      deque.push_bottom(node);
+      deque.push_bottom(make_task_node(std::move(task)));
     }
   } else {
-    // Foreign burst: one injection shard for the whole batch keeps its
-    // relative order FIFO; chunked staging keeps this path heap-free.
-    const std::size_t shard = injection_.home_shard();
-    std::array<TaskNode*, kBatchChunk> staged;
-    std::size_t i = 0;
-    while (i < tasks.size()) {
-      const std::size_t m = std::min(kBatchChunk, tasks.size() - i);
-      for (std::size_t j = 0; j < m; ++j) {
-        TaskNode* node = NodePool::acquire();
-        node->fn = std::move(tasks[i + j]);
-        staged[j] = node;
-      }
-      injection_.push_batch_to(shard, std::span(staged.data(), m));
-      i += m;
-    }
+    // Foreign burst: link the nodes privately, then splice the whole run
+    // in with one exchange — contiguous and in order.
+    const TaskChain chain = make_task_chain(tasks);
+    injected_.fetch_add(tasks.size(), std::memory_order_relaxed);
+    injection_.push_chain(chain.first, chain.last);
   }
   batch_posts_.fetch_add(1, std::memory_order_relaxed);
   idle_.notify_all();  // a batch may satisfy many parked workers
@@ -130,12 +109,11 @@ bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {
       return true;
     }
   }
-  // 2. Foreign submissions from the injection queue (non-blocking).
-  const std::size_t home = self >= 0 ? static_cast<std::size_t>(self)
-                                     : injection_.home_shard();
-  if (auto injected = injection_.try_pop(home)) {
-    out = *injected;
-    injection_pops_.fetch_add(1, std::memory_order_relaxed);
+  // 2. Foreign submissions from the injection queue. The lock-free hint
+  //    keeps idle spinners off the try-lock's line while nothing is
+  //    queued; a lost try-lock means another thread is consuming — steal
+  //    rather than wait for it.
+  if (!injection_.empty() && take_injected(out) == Injection::kTaken) {
     return true;
   }
   // 3. Steal oldest-first, near victims before far ones. A lost CAS
@@ -184,9 +162,23 @@ bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {
   return false;
 }
 
+WorkStealingExecutor::Injection WorkStealingExecutor::take_injected(
+    TaskNode*& out) {
+  if (injection_busy_.load(std::memory_order_relaxed) ||
+      injection_busy_.exchange(true, std::memory_order_acquire)) {
+    return Injection::kBusy;
+  }
+  // Acquire/release on the try-lock hands the queue's head from one
+  // consumer to the next.
+  out = injection_.pop();
+  injection_busy_.store(false, std::memory_order_release);
+  if (out == nullptr) return Injection::kEmpty;
+  injection_pops_.fetch_add(1, std::memory_order_relaxed);
+  return Injection::kTaken;
+}
+
 void WorkStealingExecutor::run_node(TaskNode* node) {
-  Task task = std::move(node->fn);
-  NodePool::release(node);  // recycle before running: spawned children reuse it
+  Task task = take_task(node);  // recycle first: spawned children reuse it
   run_task(task);
 }
 
@@ -202,7 +194,10 @@ std::size_t WorkStealingExecutor::concurrency() const noexcept {
 }
 
 std::size_t WorkStealingExecutor::pending() const {
-  std::size_t total = injection_.size();
+  const std::uint64_t taken = injection_pops_.load(std::memory_order_relaxed);
+  const std::uint64_t injected = injected_.load(std::memory_order_relaxed);
+  std::size_t total =
+      injected > taken ? static_cast<std::size_t>(injected - taken) : 0;
   for (const auto& w : workers_) {
     total += w->deque.size();
   }
@@ -216,9 +211,19 @@ void WorkStealingExecutor::shutdown() {
   threads_.clear();  // jthread joins; workers drain before exiting
 
   // A post() racing shutdown may have slipped a node in after its worker's
-  // final scan; drain stragglers on this thread so nothing is stranded.
+  // final scan; drain stragglers on this thread so nothing is stranded. A
+  // non-empty queue that yields nothing is a push still linking: wait it
+  // out rather than leave its node behind.
   TaskNode* node = nullptr;
-  while (take_node(-1, node)) run_node(node);
+  for (;;) {
+    if (take_node(-1, node)) {
+      run_node(node);
+    } else if (injection_.empty()) {
+      break;
+    } else {
+      std::this_thread::yield();
+    }
+  }
 
   auto& tracer = common::Tracer::instance();
   const std::string prefix(name());
@@ -289,14 +294,30 @@ void WorkStealingExecutor::worker_main(int index) {
     // after our prepare RMW on the same word), so commit_wait returns
     // immediately — no lost wakeup. Shutdown's notify_all is caught the
     // same way.
+    //
+    // The injection queue is re-checked by popping under the try-lock, not
+    // through the empty() hint: a post whose notify preceded our prepare
+    // is then visible (our prepare acquired its notify, which follows its
+    // link), and one whose notify follows our prepare bumps the epoch. A
+    // cut list (a push between exchange and link) pops empty; that push's
+    // notify comes after its link, so it is the second case. A busy
+    // try-lock means another consumer — possibly a foreign try_run_one()
+    // helper — may leave nodes behind when it drops the lock, so never
+    // park on it: go round again (the spin ladder paces the retry).
     const auto key = idle_.prepare_wait();
     if (stopping_.load(std::memory_order_acquire)) {
       idle_.cancel_wait();
       continue;  // loop top drains, then exits via the stopping check
     }
-    if (take_node(index, node)) {
+    const Injection injected = take_injected(node);
+    if (injected == Injection::kTaken ||
+        (injected == Injection::kEmpty && take_node(index, node))) {
       idle_.cancel_wait();
       run_node(node);
+      continue;
+    }
+    if (injected == Injection::kBusy) {
+      idle_.cancel_wait();
       continue;
     }
     idle_.commit_wait(key);

@@ -10,13 +10,18 @@
 //  * each worker owns a common::ChaseLevDeque<TaskNode*> — owner push/pop
 //    are fence-only (no RMW in the common case), thieves pay one CAS per
 //    stolen task, and a failed steal never blocks anyone;
-//  * tasks live in pooled TaskNode envelopes (common::ObjectPool), so the
-//    deques move trivially-copyable pointers — the racy pre-CAS slot reads
-//    Chase–Lev requires are well-defined, and the steady state allocates
-//    nothing (enforced by bench_steal_throughput --alloc-check);
+//  * tasks live in pooled TaskNode envelopes (executor/task_node.hpp), so
+//    the deques move trivially-copyable pointers — the racy pre-CAS slot
+//    reads Chase–Lev requires are well-defined, and the steady state
+//    allocates nothing (enforced by bench_steal_throughput --alloc-check);
 //  * foreign post() cannot touch a Chase–Lev bottom (owner-only), so
-//    non-worker submissions land in a ShardedMpmcQueue injection queue
-//    that workers poll between their own deque and stealing;
+//    non-worker submissions land in an intrusive lock-free MPSC injection
+//    queue (common::MpscQueue): a push is one exchange plus one store, and
+//    the queue is FIFO across producers. Workers take turns as its single
+//    consumer behind a try-lock; one that loses the try-lock goes on to
+//    steal instead of waiting. An idle worker reads the queue's lock-free
+//    empty() hint, so spinning workers never touch the lock's cache line
+//    while nothing is queued;
 //  * idle workers spin-then-park on a common::EventCount — notify_one
 //    wakes exactly one worker the moment work arrives (no 1 ms polling, no
 //    thundering-herd rescan of every deque), and a producer that finds no
@@ -29,9 +34,7 @@
 //    flat topologies (no sysfs) every peer ranks equal and the order
 //    degrades to the shuffled-uniform scan used before.
 //
-// EVMP_PIN=1 additionally pins worker i to its topology CPU and switches
-// the injection queue's home-shard hash from thread identity to the
-// current CPU, so producer locality maps onto shard locality. Pinning is
+// EVMP_PIN=1 additionally pins worker i to its topology CPU. Pinning is
 // advisory: where sched_setaffinity is unavailable or refused the workers
 // simply run unpinned (pinned_workers() reports how many stuck).
 //
@@ -47,14 +50,14 @@
 
 #include "common/chase_lev_deque.hpp"
 #include "common/event_count.hpp"
-#include "common/object_pool.hpp"
-#include "common/sharded_queue.hpp"
+#include "common/mpsc_queue.hpp"
 #include "common/topology.hpp"
 #include "executor/executor.hpp"
+#include "executor/task_node.hpp"
 
 namespace evmp::exec {
 
-/// Fixed-size pool with per-worker lock-free Chase–Lev deques, a sharded
+/// Fixed-size pool with per-worker lock-free Chase–Lev deques, an MPSC
 /// injection queue for foreign submissions, topology-ordered stealing and
 /// event-count parking.
 class WorkStealingExecutor final : public Executor {
@@ -70,12 +73,14 @@ class WorkStealingExecutor final : public Executor {
 
   void post(Task task) override;
   /// Admit a burst: a worker thread appends to its own deque in order (the
-  /// same state as N posts); a foreign thread lands the whole batch on one
-  /// injection shard under one lock with one wakeup, preserving FIFO order
-  /// within the batch.
+  /// same state as N posts); a foreign thread links the whole batch into
+  /// the injection queue with one exchange and one wakeup, preserving FIFO
+  /// order within the batch.
   void post_batch(std::span<Task> tasks) override;
   bool try_run_one() override;
   [[nodiscard]] std::size_t concurrency() const noexcept override;
+  /// Deque sizes plus injected-but-not-taken tasks; a snapshot under
+  /// concurrent posts.
   [[nodiscard]] std::size_t pending() const override;
 
   /// Stop accepting tasks, drain all queues, and join. Idempotent.
@@ -121,14 +126,7 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] std::size_t near_victims_of(int worker) const;
 
  private:
-  /// Pooled envelope a deque slot points at. The pool requires the node to
-  /// be default-constructible and expose pool_next_; nodes are recycled
-  /// (released the moment their task is moved out), never freed.
-  struct TaskNode {
-    Task fn;
-    TaskNode* pool_next_ = nullptr;
-  };
-  using NodePool = common::ObjectPool<TaskNode>;
+  friend struct WorkStealingTestAccess;  // tests pose as a lock holder
 
   struct Worker {
     // Separate cache lines per worker happen naturally: ChaseLevDeque
@@ -142,19 +140,30 @@ class WorkStealingExecutor final : public Executor {
     int cpu = -1;  ///< topology CPU this worker pins to under EVMP_PIN
   };
 
-  /// Take a node: own deque first (LIFO), then the injection queue, then
-  /// steal (FIFO) near-before-far along the worker's victim order,
-  /// retrying a victim on a lost CAS race. `self` < 0 means a foreign
-  /// caller (injection + rotating uniform steal only).
+  /// Take a node: own deque first (LIFO), then the injection queue (when
+  /// its empty() hint says so and the try-lock is free), then steal (FIFO)
+  /// near-before-far along the worker's victim order, retrying a victim on
+  /// a lost CAS race. `self` < 0 means a foreign caller (injection +
+  /// rotating uniform steal only).
   bool take_node(int self, TaskNode*& out);
-  /// Unwrap, recycle the envelope, run. Recycling before running keeps the
-  /// node hot for a task that immediately spawns more work.
+  enum class Injection { kTaken, kEmpty, kBusy };
+  /// Pop the injection queue as its consumer of the moment: kBusy when
+  /// another thread holds the consumer try-lock, kEmpty when nothing is
+  /// linked yet.
+  Injection take_injected(TaskNode*& out);
+  /// Unwrap, recycle the envelope, run.
   void run_node(TaskNode* node);
   void worker_main(int index);
   [[nodiscard]] int current_worker_index() const noexcept;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  common::ShardedMpmcQueue<TaskNode*> injection_;
+  common::MpscQueue<TaskNode> injection_;
+  // Consumer try-lock for injection_: whoever holds it is the queue's one
+  // consumer. Held only across a pop, never while a task runs.
+  alignas(64) std::atomic<bool> injection_busy_{false};
+  // Tasks pushed to injection_, for pending(). Producers add, nobody else
+  // writes; its own line keeps it off the tail's and the lock's.
+  alignas(64) std::atomic<std::uint64_t> injected_{0};
   common::EventCount idle_;
   bool pin_workers_ = false;
   std::atomic<bool> stopping_{false};

@@ -11,9 +11,14 @@ namespace evmp::fj {
 
 namespace {
 
+// Read once: glibc's hardware_concurrency() re-reads sysfs on every call
+// (microseconds), which decide() would otherwise pay on each lease.
 int hardware_cores() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  static const int cores = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return cores;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <thread>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -32,7 +33,13 @@ Reactor::Reactor(std::string reactor_name)
   ::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &ev);
 }
 
-Reactor::~Reactor() { stop(); }
+Reactor::~Reactor() {
+  stop();
+  // Only a reactor that never ran can still hold tasks: drop them unrun.
+  while (exec::TaskNode* node = tasks_.pop()) {
+    [[maybe_unused]] const exec::Task dropped = exec::take_task(node);
+  }
+}
 
 void Reactor::start() {
   if (running_.load(std::memory_order_acquire)) return;
@@ -41,48 +48,74 @@ void Reactor::start() {
 }
 
 void Reactor::stop() {
-  if (stop_requested_.exchange(true)) {
+  if ((gate_.fetch_or(kGateClosed, std::memory_order_acq_rel) &
+       kGateClosed) != 0) {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Close first: new posts are refused (warned) from here on, while
-  // already-queued tasks stay poppable for the loop's final drain.
-  tasks_.close();
+  // Close the gate first: posts are refused from here on. Then wait out
+  // the producers admitted before the close — each holds its share until
+  // its push is linked and its wake written. Every later write to gate_
+  // is an RMW, so the acquire load that sees no shares synchronises with
+  // all their releases, and the store below hands that on to the loop:
+  // its final drain sees every admitted task, none of them half-linked.
+  while (gate_.load(std::memory_order_acquire) != kGateClosed) {
+    std::this_thread::yield();
+  }
+  stop_requested_.store(true, std::memory_order_release);
   wake();
   if (thread_.joinable()) thread_.join();
   running_.store(false, std::memory_order_release);
 }
 
+bool Reactor::admit() noexcept {
+  if ((gate_.fetch_add(kGateShare, std::memory_order_acquire) &
+       kGateClosed) == 0) {
+    return true;
+  }
+  gate_.fetch_sub(kGateShare, std::memory_order_release);
+  return false;
+}
+
+void Reactor::leave() noexcept {
+  gate_.fetch_sub(kGateShare, std::memory_order_release);
+}
+
 void Reactor::post(exec::Task task) {
-  if (!tasks_.push(std::move(task))) {
+  if (!try_post(std::move(task))) {
     EVMP_LOG_WARN << "task posted to stopped reactor '" << name()
                   << "' was dropped";
-    return;
   }
-  wake();
 }
 
 void Reactor::post_batch(std::span<exec::Task> tasks) {
   if (tasks.empty()) return;
-  if (tasks_.push_batch(tasks) == 0) {
+  if (!admit()) {
     EVMP_LOG_WARN << "batch of " << tasks.size() << " tasks posted to "
                   << "stopped reactor '" << name() << "' was dropped";
     return;
   }
+  // Link the run privately, then splice it in with one exchange.
+  const exec::TaskChain chain = exec::make_task_chain(tasks);
+  tasks_.push_chain(chain.first, chain.last);
   wake();
+  leave();
 }
 
 bool Reactor::try_post(exec::Task task) {
-  if (!tasks_.push(std::move(task))) return false;
-  wake();
+  if (!admit()) return false;
+  tasks_.push(exec::make_task_node(std::move(task)));
+  wake();  // after the push returned: the node is linked
+  leave();
   return true;
 }
 
 bool Reactor::try_run_one() {
   if (!owns_current_thread()) return false;
-  auto task = tasks_.try_pop();
-  if (!task) return false;
-  run_task(*task);
+  exec::TaskNode* node = tasks_.pop();
+  if (node == nullptr) return false;
+  exec::Task task = exec::take_task(node);
+  run_task(task);
   tasks_run_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -217,7 +250,11 @@ ReactorStats Reactor::stats() const noexcept {
 void Reactor::wake() {
   // Skip the syscall while a previous wake is still unconsumed; the
   // seq_cst exchange pairs with the loop's flag clear (see run()) so a
-  // push is never stranded behind a cleared flag.
+  // push is never stranded behind a cleared flag. Producers call this
+  // after their push is linked, so it also covers a drain that found the
+  // list cut at their node (MpscQueue::pop returned nullptr): that drain
+  // either precedes this wake's eventfd write, or precedes the clear that
+  // an already-pending wake is waiting for.
   if (wake_pending_.exchange(true)) return;
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
@@ -225,8 +262,9 @@ void Reactor::wake() {
 }
 
 void Reactor::drain_tasks() {
-  while (auto task = tasks_.try_pop()) {
-    run_task(*task);
+  while (exec::TaskNode* node = tasks_.pop()) {
+    exec::Task task = exec::take_task(node);
+    run_task(task);
     tasks_run_.fetch_add(1, std::memory_order_relaxed);
   }
 }

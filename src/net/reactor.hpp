@@ -8,9 +8,11 @@
 // events come from three sources instead of one:
 //
 //   * fd readiness, harvested edge-triggered from epoll_wait;
-//   * posted tasks (the Executor interface), delivered through a sharded
-//     queue and an eventfd wakeup, which is how completions flow *back*
-//     onto the reactor from worker targets; and
+//   * posted tasks (the Executor interface), delivered through a lock-free
+//     MPSC queue (common::MpscQueue) and an eventfd wakeup, which is how
+//     completions flow *back* onto the reactor from worker targets. The
+//     queue is FIFO across producers: a post that happens-before another
+//     (even one made on a different thread) runs first; and
 //   * timers, kept in a hashed timer wheel (connection idle timeouts,
 //     asyncio completion deadlines) and fired between epoll batches.
 //
@@ -29,8 +31,9 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/sharded_queue.hpp"
+#include "common/mpsc_queue.hpp"
 #include "executor/executor.hpp"
+#include "executor/task_node.hpp"
 #include "net/socket.hpp"
 
 namespace evmp::net {
@@ -76,10 +79,12 @@ class Reactor final : public exec::Executor {
   /// Spawn the reactor thread. add_fd() may be called before or after.
   void start();
 
-  /// Ask the loop to exit, drain already-posted tasks, and join. Posted
-  /// tasks arriving after stop() returns are dropped with a warning;
-  /// pending timers are discarded unfired. Registered descriptors are not
-  /// closed — their owners are. Idempotent.
+  /// Ask the loop to exit, drain already-posted tasks, and join. Every
+  /// post either runs or is refused: posts racing stop() are accepted (and
+  /// run by the final drain) or refused, and posts after stop() began are
+  /// refused — dropped with a warning, or `false` from try_post(). Pending
+  /// timers are discarded unfired. Registered descriptors are not closed —
+  /// their owners are. Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const noexcept {
@@ -105,7 +110,10 @@ class Reactor final : public exec::Executor {
   [[nodiscard]] std::size_t concurrency() const noexcept override {
     return 1;
   }
-  [[nodiscard]] std::size_t pending() const override { return tasks_.size(); }
+  /// The task queue keeps no count: 1 while tasks are queued, else 0.
+  [[nodiscard]] std::size_t pending() const override {
+    return tasks_.empty() ? 0 : 1;
+  }
 
   // --- fd registration --------------------------------------------------
   // Registration is edge-triggered (EPOLLET): a callback must consume the
@@ -151,6 +159,10 @@ class Reactor final : public exec::Executor {
   void run();
   void drain_tasks();
   void wake();
+  /// Take a producer share of gate_; false once stop() has begun.
+  bool admit() noexcept;
+  /// Drop the share; call after the push *and* its wake().
+  void leave() noexcept;
 
   // Timer internals; reactor thread only.
   std::size_t slot_of(common::TimePoint deadline) const noexcept;
@@ -164,7 +176,14 @@ class Reactor final : public exec::Executor {
   Fd epoll_;
   Fd wake_fd_;  ///< eventfd; level-triggered member of the epoll set
 
-  common::ShardedMpmcQueue<exec::Task> tasks_;
+  common::MpscQueue<exec::TaskNode> tasks_;
+  // Admission gate: bit 0 = closed by stop(); the rest counts producers
+  // between admission and the end of their wake (kGateShare each). stop()
+  // closes it and waits for the count to drain before telling the loop
+  // to exit, so the final drain sees every admitted push fully linked.
+  static constexpr std::uint64_t kGateClosed = 1;
+  static constexpr std::uint64_t kGateShare = 2;
+  alignas(64) std::atomic<std::uint64_t> gate_{0};
   std::atomic<bool> wake_pending_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};

@@ -220,6 +220,9 @@ TEST(EventLoop, ResetStatsClears) {
   EventLoop loop;
   loop.start();
   loop.invoke_and_wait([] {});
+  // invoke_and_wait returns once the handler ran, but the EDT accounts the
+  // dispatch after that; wait for it so the reset is not overtaken.
+  loop.wait_until_idle();
   loop.reset_stats();
   EXPECT_EQ(loop.dispatched(), 0u);
   EXPECT_EQ(loop.dispatch_delay().total_count(), 0u);

@@ -1,17 +1,20 @@
 // Unit tests for the executor substrate: UniqueFunction, CompletionState /
 // TaskHandle, ThreadPoolExecutor, SerialExecutor, InlineExecutor and the
-// simulated accelerator device.
+// simulated accelerator device, plus the causal-FIFO guarantee of every
+// concurrency-1 executor (SerialExecutor, event::EventLoop, net::Reactor).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "common/sync.hpp"
+#include "event/event_loop.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
 #include "executor/inline_executor.hpp"
@@ -19,6 +22,7 @@
 #include "executor/simulated_device.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "executor/unique_function.hpp"
+#include "net/reactor.hpp"
 
 namespace evmp::exec {
 namespace {
@@ -426,6 +430,82 @@ TEST(SimulatedDevice, TransferTakesModeledTime) {
   const common::Stopwatch sw;
   dev.transfer_to_device(10'000);
   EXPECT_GE(sw.elapsed_ms(), 8.0);
+}
+
+// --- causal FIFO on concurrency-1 executors --------------------------------
+
+// Thread A posts X and then releases thread B; B posts Y. X's post
+// happens-before Y's, so a single-consumer target must run X first — the
+// ordering an EDT-like target promises even though X and Y come from
+// different threads. A first posts a gate task that holds the target
+// until Y is queued, so both wait side by side and the queue alone picks
+// the order; the two threads swap the A and B roles every round, so a
+// queue that favours one producer's slot is caught either way.
+void expect_causal_fifo(Executor& ex) {
+  constexpr int kRounds = 10'000;
+  auto first = std::make_unique<std::atomic<int>[]>(kRounds);
+  std::atomic<int> released{-1};
+  std::atomic<int> y_posted{-1};
+  std::atomic<int> ran{0};
+  auto record = [&](int round, int which) {
+    int none = 0;
+    first[round].compare_exchange_strong(none, which);
+    ran.fetch_add(1, std::memory_order_release);
+  };
+  auto producer = [&](int self) {
+    for (int r = 0; r < kRounds; ++r) {
+      if (r % 2 == self) {  // A: gate, X, release B
+        ex.post([&y_posted, r] {
+          while (y_posted.load(std::memory_order_acquire) < r) {
+            std::this_thread::yield();
+          }
+        });
+        ex.post([&record, r] { record(r, 1); });
+        released.store(r, std::memory_order_release);
+      } else {  // B: wait for A, then Y
+        while (released.load(std::memory_order_acquire) < r) {
+          std::this_thread::yield();
+        }
+        ex.post([&record, r] { record(r, 2); });
+        y_posted.store(r, std::memory_order_release);
+      }
+    }
+  };
+  {
+    std::jthread t0(producer, 0);
+    std::jthread t1(producer, 1);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{30};
+  while (ran.load(std::memory_order_acquire) < 2 * kRounds &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(ran.load(), 2 * kRounds);
+  int overtaken = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    if (first[r].load() != 1) ++overtaken;
+  }
+  EXPECT_EQ(overtaken, 0) << "rounds where Y ran before X";
+}
+
+TEST(CausalFifo, SerialExecutor) {
+  SerialExecutor ex("serial");
+  expect_causal_fifo(ex);
+}
+
+TEST(CausalFifo, EventLoop) {
+  event::EventLoop loop("edt");
+  loop.start();
+  expect_causal_fifo(loop);
+  loop.stop();
+}
+
+TEST(CausalFifo, Reactor) {
+  net::Reactor reactor("reactor");
+  reactor.start();
+  expect_causal_fifo(reactor);
+  reactor.stop();
 }
 
 }  // namespace

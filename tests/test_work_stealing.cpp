@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/sync.hpp"
@@ -12,6 +14,13 @@
 #include "executor/work_stealing_executor.hpp"
 
 namespace evmp::exec {
+
+struct WorkStealingTestAccess {
+  static std::atomic<bool>& injection_lock(WorkStealingExecutor& pool) {
+    return pool.injection_busy_;
+  }
+};
+
 namespace {
 
 TEST(WorkStealing, PostBatchRunsAllTasks) {
@@ -201,6 +210,100 @@ TEST(WorkStealing, WorkerSelfPostsUseOwnDeque) {
   EXPECT_EQ(pool.tasks_executed(), 9u);
   EXPECT_EQ(pool.injection_pops(), 1u);  // only the foreign seeding post
   EXPECT_EQ(pool.local_pops() + pool.steals(), 8u);
+}
+
+TEST(WorkStealing, WorkersDoNotParkBehindABusyInjectionLock) {
+  // A consumer holding the injection try-lock (say, a foreign try_run_one
+  // helper mid-pop) may drop it with nodes still queued and no post left
+  // to notify anyone. Workers that lost the try-lock while going idle must
+  // therefore not park on it: once the holder leaves, they take the node.
+  WorkStealingExecutor pool("ws", 2);
+  std::atomic<bool>& lock = WorkStealingTestAccess::injection_lock(pool);
+  bool free = false;
+  ASSERT_TRUE(lock.compare_exchange_strong(free, true));
+  std::atomic<bool> ran{false};
+  pool.post([&] { ran.store(true); });
+  // Long enough for both workers to wake, lose the try-lock, run out
+  // their spin ladder and reach the parking re-check.
+  std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  EXPECT_FALSE(ran.load());
+  lock.store(false, std::memory_order_release);  // leave without popping
+  for (int i = 0; i < 5000 && !ran.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  EXPECT_TRUE(ran.load());
+  pool.shutdown();
+}
+
+TEST(WorkStealing, ForeignProducersAndHelperRaceParkedWorkers) {
+  // Four foreign producers feed the injection queue in bursts with pauses
+  // long enough for the workers to park in between, while a foreign
+  // try_run_one() helper competes for the consumer try-lock. Every task
+  // runs exactly once — none stranded behind a parked pool or a helper
+  // that dropped the lock — and each is attributed to exactly one source.
+  constexpr int kProducers = 4;
+  constexpr int kBursts = 50;
+  constexpr int kPerBurst = 40;
+  constexpr int kTasks = kProducers * kBursts * kPerBurst;
+  auto runs = std::make_unique<std::atomic<int>[]>(kTasks);
+  std::atomic<int> done{0};
+  std::atomic<bool> producing{true};
+  WorkStealingExecutor pool("ws", 3);
+  {
+    std::jthread helper([&] {
+      while (producing.load(std::memory_order_acquire)) {
+        if (!pool.try_run_one()) std::this_thread::yield();
+      }
+    });
+    std::vector<std::jthread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        std::vector<Task> batch;
+        for (int b = 0; b < kBursts; ++b) {
+          for (int i = 0; i < kPerBurst; ++i) {
+            const int id = (p * kBursts + b) * kPerBurst + i;
+            Task task([&, id] {
+              runs[id].fetch_add(1, std::memory_order_relaxed);
+              done.fetch_add(1, std::memory_order_release);
+            });
+            if (b % 2 == 0) {
+              pool.post(std::move(task));
+            } else {
+              batch.push_back(std::move(task));
+            }
+          }
+          if (!batch.empty()) {
+            pool.post_batch(batch);
+            batch.clear();
+          }
+          if (b % 10 == 9) {
+            std::this_thread::sleep_for(std::chrono::milliseconds{2});
+          }
+        }
+      });
+    }
+    producers.clear();
+    producing.store(false, std::memory_order_release);
+  }
+  // The helper is gone too: whatever is left, the workers alone must run
+  // — before shutdown, so nothing relies on the shutdown drain.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{30};
+  while (done.load(std::memory_order_acquire) < kTasks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  ASSERT_EQ(done.load(), kTasks);
+  pool.shutdown();
+  int wrong = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    if (runs[i].load() != 1) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(pool.tasks_executed(), static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(pool.local_pops() + pool.steals() + pool.injection_pops(),
+            static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(pool.pending(), 0u);
 }
 
 }  // namespace

@@ -11,10 +11,11 @@
 //  * a counting operator-new interposer reports heap allocations per
 //    iteration as a benchmark counter (submitter-thread allocations only —
 //    the directive-encountering thread is the latency-critical one);
-//  * with --alloc-check=<budgets.json>, after the benchmarks run, a paced
-//    steady-state loop measures allocations per nowait dispatch and exits
-//    nonzero when the measured rate exceeds the budget file's
-//    "allocs_per_nowait_dispatch" — the CI perf-smoke gate.
+//  * with --alloc-check=<budgets.json>, after the benchmarks run, paced
+//    steady-state loops measure allocations per nowait dispatch and per
+//    block of a batched dispatch, and exit nonzero when a measured rate
+//    exceeds the budget file's "allocs_per_nowait_dispatch" or
+//    "allocs_per_batch_item" — the CI perf-smoke gate.
 
 #include <benchmark/benchmark.h>
 
@@ -256,13 +257,10 @@ void BM_NowaitBurst(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::atomic<std::uint64_t> sink{0};
   AllocScope allocs(state);
+  auto block = [&sink] { sink.fetch_add(1, std::memory_order_relaxed); };
   for (auto _ : state) {
-    std::vector<evmp::exec::Task> blocks;
-    blocks.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      blocks.emplace_back(
-          [&] { sink.fetch_add(1, std::memory_order_relaxed); });
-    }
+    // Unerased blocks: each is erased once, inside its completion wrapper.
+    std::vector<decltype(block)> blocks(static_cast<std::size_t>(n), block);
     rt.invoke_target_batch("worker", std::move(blocks), Async::kNameAs,
                            "burst");
     rt.wait_tag("burst");
@@ -308,6 +306,24 @@ double read_budget(const std::string& path, const char* key,
   return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
+/// Compare a measured allocation rate with its budget; 0 when within.
+int check_budget(const char* what, std::uint64_t allocs, int ops,
+                 double budget) {
+  const double per_op = static_cast<double>(allocs) / ops;
+  std::printf(
+      "alloc-check [%s]: %llu submitter-thread allocations over %d ops "
+      "=> %.4f allocs/op (budget %.4f)\n",
+      what, static_cast<unsigned long long>(allocs), ops, per_op, budget);
+  if (per_op > budget) {
+    std::fprintf(stderr,
+                 "alloc-check FAILED [%s]: %.4f allocs/op exceeds budget "
+                 "%.4f\n",
+                 what, per_op, budget);
+    return 1;
+  }
+  return 0;
+}
+
 /// Measure steady-state allocations per nowait dispatch on the submitting
 /// thread. Paced in rounds (dispatch a burst, then join) so queue depth,
 /// ring-buffer capacity and completion-pool population stabilise during
@@ -315,6 +331,8 @@ double read_budget(const std::string& path, const char* key,
 int run_alloc_check(const std::string& budget_path) {
   const double budget =
       read_budget(budget_path, "allocs_per_nowait_dispatch", 0.0);
+  const double batch_budget =
+      read_budget(budget_path, "allocs_per_batch_item", 0.0);
   auto& rt = bench_rt().rt;
 
   constexpr int kPerRound = 64;
@@ -326,30 +344,31 @@ int run_alloc_check(const std::string& budget_path) {
     }
     rt.wait_tag("alloc-check");
   };
+  // The same burst as one invoke_target_batch: the blocks vector, the
+  // returned handles and the staged wrappers are per-batch allocations;
+  // nothing may be allocated per item.
+  const auto batch_round = [&rt] {
+    auto block = [] {};
+    rt.invoke_target_batch("worker",
+                           std::vector<decltype(block)>(kPerRound, block),
+                           Async::kNameAs, "alloc-check");
+    rt.wait_tag("alloc-check");
+  };
 
   for (int i = 0; i < kWarmupRounds; ++i) round();
-
-  const std::uint64_t before = thread_allocs();
+  std::uint64_t before = thread_allocs();
   for (int i = 0; i < kMeasuredRounds; ++i) round();
-  const std::uint64_t delta = thread_allocs() - before;
+  int failed = check_budget("nowait dispatch", thread_allocs() - before,
+                            kMeasuredRounds * kPerRound, budget);
 
-  const double per_dispatch =
-      static_cast<double>(delta) /
-      (static_cast<double>(kMeasuredRounds) * kPerRound);
-  std::printf(
-      "alloc-check: %llu submitter-thread allocations over %d dispatches "
-      "=> %.4f allocs/dispatch (budget %.4f)\n",
-      static_cast<unsigned long long>(delta), kMeasuredRounds * kPerRound,
-      per_dispatch, budget);
-  if (per_dispatch > budget) {
-    std::fprintf(stderr,
-                 "alloc-check FAILED: %.4f allocs/dispatch exceeds budget "
-                 "%.4f\n",
-                 per_dispatch, budget);
-    return 1;
-  }
-  std::printf("alloc-check passed\n");
-  return 0;
+  for (int i = 0; i < kWarmupRounds; ++i) batch_round();
+  before = thread_allocs();
+  for (int i = 0; i < kMeasuredRounds; ++i) batch_round();
+  failed |= check_budget("batch item", thread_allocs() - before,
+                         kMeasuredRounds * kPerRound, batch_budget);
+
+  if (failed == 0) std::printf("alloc-check passed\n");
+  return failed;
 }
 
 }  // namespace

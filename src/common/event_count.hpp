@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 namespace evmp::common {
 
@@ -106,45 +105,6 @@ class EventCount {
   static constexpr std::uint64_t kEpochInc = 1ULL << kEpochShift;
 
   alignas(64) std::atomic<std::uint64_t> word_{0};
-};
-
-/// Bounded spin-then-yield helper shared by the executor workers and the
-/// fork-join barrier. Mirrors the ladder in exec::detail::CompletionState:
-/// pause-spin only on multi-core hosts (spinning on 1 CPU just steals the
-/// producer's timeslice), then a few yields, then the caller should park.
-class SpinWait {
- public:
-  /// One step up the backoff ladder. Returns false once the caller should
-  /// stop spinning and park on a real waiting primitive.
-  bool spin() noexcept {
-    if (spins_ < pause_budget()) {
-      ++spins_;
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#else
-      std::this_thread::yield();
-#endif
-      return true;
-    }
-    if (spins_ < pause_budget() + kYields) {
-      ++spins_;
-      std::this_thread::yield();
-      return true;
-    }
-    return false;
-  }
-
-  void reset() noexcept { spins_ = 0; }
-
- private:
-  static int pause_budget() noexcept {
-    static const int budget =
-        std::thread::hardware_concurrency() > 1 ? 128 : 0;
-    return budget;
-  }
-
-  static constexpr int kYields = 16;
-  int spins_ = 0;
 };
 
 }  // namespace evmp::common

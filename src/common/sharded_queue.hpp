@@ -47,10 +47,11 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
+#include "common/spin_wait.hpp"
+#include "common/topology.hpp"
 
 namespace evmp::common {
 
@@ -71,14 +72,13 @@ struct ShardedQueueStats {
 /// Unbounded MPMC FIFO striped over `num_shards` mutex-protected shards.
 /// Drop-in for MpmcQueue where global FIFO across producers is not required
 /// (executor run queues). `num_shards` is rounded up to a power of two;
-/// 0 selects a default based on the hardware concurrency.
+/// 0 selects one shard per usable CPU.
 template <class T>
 class ShardedMpmcQueue {
  public:
   explicit ShardedMpmcQueue(std::size_t num_shards = 0) {
     if (num_shards == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      num_shards = hw == 0 ? 1 : hw;
+      num_shards = static_cast<std::size_t>(Topology::usable_cpus());
     }
     std::size_t rounded = 1;
     while (rounded < num_shards && rounded < kMaxShards) rounded <<= 1;
@@ -233,16 +233,20 @@ class ShardedMpmcQueue {
   std::optional<T> pop() { return pop(home_shard()); }
 
   std::optional<T> pop(std::size_t home) {
-    // Yield-scan briefly before parking: in back-to-back dispatch the next
-    // item typically lands within a scheduler quantum of the previous pop.
-    // Catching it here keeps this consumer off the sleeper list, which in
-    // turn keeps the producer's wake() on its syscall-free path — in steady
-    // state neither side touches the condvar or its mutex.
-    for (int i = 0; i < kSpinScans; ++i) {
-      if (auto item = scan(home)) return item;
+    // Stay awake through the spin window before parking: in back-to-back
+    // dispatch the next item typically lands within tens of microseconds
+    // of the previous pop. Catching it here keeps this consumer off the
+    // sleeper list, which in turn keeps the producer's wake() on its
+    // syscall-free path — in steady state neither side touches the
+    // condvar or its mutex. The poll reads the lock-free size_ and takes
+    // shard locks only once something is queued.
+    SpinWait spin;
+    do {
+      if (size_.load(std::memory_order_acquire) != 0) {
+        if (auto item = scan(home)) return item;
+      }
       if (closed_.load(std::memory_order_acquire)) break;
-      std::this_thread::yield();
-    }
+    } while (spin.spin());
     for (;;) {
       const std::uint64_t gen = gen_.load();  // seq_cst: pairs with wake()
       if (auto item = scan(home)) return item;
@@ -329,9 +333,6 @@ class ShardedMpmcQueue {
 
  private:
   static constexpr std::size_t kMaxShards = 64;
-  /// Bounded pre-park yield-scan attempts in pop(). Small enough that an
-  /// idle consumer reaches the condvar within ~a few scheduler quanta.
-  static constexpr int kSpinScans = 32;
 
   struct Shard {
     std::mutex mu;

@@ -294,6 +294,30 @@ Topology::VictimOrder Topology::victim_order(int self, int worker_count,
   return result;
 }
 
+namespace {
+int read_usable_cpus() noexcept {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+#endif
+  return default_cpu_count();
+}
+
+// Forces the read during static initialisation, on the main thread: a
+// first call from a pinned worker would otherwise see that worker's
+// one-CPU mask.
+[[maybe_unused]] const int g_usable_cpus_at_start = Topology::usable_cpus();
+}  // namespace
+
+int Topology::usable_cpus() noexcept {
+  static const int cpus = read_usable_cpus();
+  return cpus;
+}
+
 bool Topology::pin_current_thread(int cpu) noexcept {
 #if defined(__linux__)
   if (cpu < 0 || cpu >= CPU_SETSIZE) return false;

@@ -98,6 +98,15 @@ class Topology {
   /// where unsupported or refused — callers must treat pinning as a hint.
   static bool pin_current_thread(int cpu) noexcept;
 
+  /// CPUs this process may run on: the size of its affinity mask
+  /// (sched_getaffinity), not the machine's CPU count that
+  /// std::thread::hardware_concurrency() reports — under `taskset -c 0`
+  /// this is 1. Read once, at program start (before any worker pins
+  /// itself); at least 1. Every single-core guard in the runtime (spin
+  /// windows, default shard and team counts, the width governor's core
+  /// budget) uses this count.
+  static int usable_cpus() noexcept;
+
  private:
   std::vector<Cpu> cpus_;
   bool discovered_ = false;

@@ -178,9 +178,44 @@ class Runtime {
   /// kDefault blocks until every block finished. Blocks run inline (and
   /// the returned handles are empty) when the calling thread belongs to
   /// the target executor or the runtime is disabled.
+  ///
+  /// Like invoke_target_block, each block is type-erased once, inside its
+  /// completion wrapper: a burst of small unerased callables costs no
+  /// per-block allocation (the allocs_per_batch_item budget). A vector of
+  /// pre-erased exec::Task still works, but each Task then nests inside
+  /// the wrapper and outgrows the inline buffer — one allocation a block.
+  template <class F, class = std::enable_if_t<std::is_invocable_v<F&>>>
   std::vector<exec::TaskHandle> invoke_target_batch(
-      std::string_view tname, std::vector<exec::Task> blocks,
-      Async mode = Async::kNowait, std::string_view tag = {});
+      std::string_view tname, std::vector<F> blocks,
+      Async mode = Async::kNowait, std::string_view tag = {}) {
+    std::vector<exec::TaskHandle> handles;
+    if (blocks.empty()) return handles;
+    exec::Executor* ex = batch_target(tname, blocks.size());
+    if (ex == nullptr) {
+      for (auto& block : blocks) block();
+      return handles;
+    }
+    handles.reserve(blocks.size());
+    std::vector<exec::Task> wrapped;
+    wrapped.reserve(blocks.size());
+    const bool report = (mode == Async::kNowait);
+    TagGroup* group = mode == Async::kNameAs ? &tags_.group(tag) : nullptr;
+    analysis::RaceCheck* rc = analysis::RaceCheck::active();
+    for (auto& block : blocks) {
+      exec::CompletionRef state = exec::CompletionState::make();
+      handles.emplace_back(state);
+      if (group != nullptr) group->enter();
+      const std::uint64_t birth =
+          rc != nullptr ? rc->on_dispatch(ex->name()) : 0;
+      wrapped.emplace_back([state = std::move(state), group, report, ex,
+                            birth, fn = std::move(block)]() mutable {
+        run_dispatched_block(fn, state, group, ex, report, birth);
+      });
+    }
+    ex->post_batch(wrapped);
+    finish_batch(handles, mode, *ex);
+    return handles;
+  }
 
   /// Shorthand for a directive with no target-property-clause: dispatch to
   /// the default target.
@@ -233,6 +268,15 @@ class Runtime {
   /// is the dispatch target (for the EVMP_VERIFY wait-for graph).
   exec::TaskHandle finish_dispatch(exec::CompletionRef state, Async mode,
                                    exec::Executor* executor);
+
+  /// The batch path's lines 1-6: the executor to post a burst of `count`
+  /// blocks to, or nullptr when the burst runs inline (runtime disabled,
+  /// or the caller is a member thread of the target).
+  exec::Executor* batch_target(std::string_view tname, std::size_t count);
+
+  /// The batch path's bookkeeping + per-mode join, over every handle.
+  void finish_batch(const std::vector<exec::TaskHandle>& handles,
+                    Async mode, exec::Executor& executor);
 
   /// The completion protocol every dispatched block runs under; shared by
   /// the single and batch paths.

@@ -4,28 +4,15 @@
 #include <chrono>
 #include <thread>
 
+#include "common/spin_wait.hpp"
+
 namespace evmp {
-
-namespace {
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// On a single-core machine a leaver cannot progress while the waiter
-// pause-spins, so the relax phase only delays the hand-over yield.
-bool relax_spins_enabled() noexcept {
-  static const bool enabled = std::thread::hardware_concurrency() > 1;
-  return enabled;
-}
-}  // namespace
 
 void TagGroup::leave(std::exception_ptr error) noexcept {
   if (error) {
-    while (error_lock_.test_and_set(std::memory_order_acquire)) cpu_relax();
+    while (error_lock_.test_and_set(std::memory_order_acquire)) {
+      common::cpu_relax();
+    }
     if (!first_error_) first_error_ = std::move(error);
     error_lock_.clear(std::memory_order_release);
     has_error_.store(true, std::memory_order_release);
@@ -39,34 +26,28 @@ void TagGroup::leave(std::exception_ptr error) noexcept {
 
 void TagGroup::wait(const std::function<bool()>& try_help) {
   // Lock-free join: poll the counter, helping when a helper is supplied.
-  // Backoff in three phases: pause instructions (multi-core: leavers are
-  // often a cache miss away), then sched_yields (single-core: the leaver
-  // cannot decrement until it gets the CPU, and a yield hands it over
-  // directly), then escalating naps capped at 100 us — the quantum the
-  // seed's condvar path used between help attempts.
-  int spins = 0;
+  // Backoff in two phases: the common::SpinWait window (pause-polls while
+  // leavers are a cache miss away; on one usable CPU a few yields that
+  // hand the CPU to the leaver), then escalating naps capped at 100 us —
+  // the quantum the seed's condvar path used between help attempts. Each
+  // successful help restarts both.
+  common::SpinWait spin;
   std::chrono::nanoseconds nap{1000};
   while (count_.load(std::memory_order_acquire) > 0) {
     if (try_help && try_help()) {
-      spins = 0;
+      spin.reset();
       nap = std::chrono::nanoseconds{1000};
       continue;
     }
-    ++spins;
-    if (spins < 64 && relax_spins_enabled()) {
-      cpu_relax();
-      continue;
-    }
-    if (spins < 320) {
-      std::this_thread::yield();
-      continue;
-    }
+    if (spin.spin()) continue;
     std::this_thread::sleep_for(nap);
     nap = std::min(nap * 2, std::chrono::nanoseconds{100000});
   }
   if (has_error_.load(std::memory_order_acquire)) {
     std::exception_ptr err;
-    while (error_lock_.test_and_set(std::memory_order_acquire)) cpu_relax();
+    while (error_lock_.test_and_set(std::memory_order_acquire)) {
+      common::cpu_relax();
+    }
     err = std::move(first_error_);
     first_error_ = nullptr;
     has_error_.store(false, std::memory_order_relaxed);

@@ -65,22 +65,23 @@ class TargetRef {
   // Runtime::invoke_target_batch). One handle per block, in order.
 
   /// nowait burst: fire-and-forget the whole batch.
-  std::vector<exec::TaskHandle> nowait_batch(
-      std::vector<exec::Task> blocks) && {
+  template <class F>
+  std::vector<exec::TaskHandle> nowait_batch(std::vector<F> blocks) && {
     return std::move(*this).dispatch_batch(Async::kNowait, {},
                                            std::move(blocks));
   }
 
   /// name_as(tag) burst: fire all, join the tag later with wait_tag(tag).
-  std::vector<exec::TaskHandle> name_as_batch(
-      std::string_view tag, std::vector<exec::Task> blocks) && {
+  template <class F>
+  std::vector<exec::TaskHandle> name_as_batch(std::string_view tag,
+                                              std::vector<F> blocks) && {
     return std::move(*this).dispatch_batch(Async::kNameAs, tag,
                                            std::move(blocks));
   }
 
   /// await burst: logical barrier until every block in the batch finished.
-  std::vector<exec::TaskHandle> await_batch(
-      std::vector<exec::Task> blocks) && {
+  template <class F>
+  std::vector<exec::TaskHandle> await_batch(std::vector<F> blocks) && {
     return std::move(*this).dispatch_batch(Async::kAwait, {},
                                            std::move(blocks));
   }
@@ -100,8 +101,10 @@ class TargetRef {
     return rt_.invoke_target_block(tname_, std::forward<F>(block), mode, tag);
   }
 
-  std::vector<exec::TaskHandle> dispatch_batch(
-      Async mode, std::string_view tag, std::vector<exec::Task> blocks) && {
+  template <class F>
+  std::vector<exec::TaskHandle> dispatch_batch(Async mode,
+                                               std::string_view tag,
+                                               std::vector<F> blocks) && {
     if (!condition_) {
       for (auto& block : blocks) block();
       return {};

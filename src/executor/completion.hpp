@@ -25,6 +25,7 @@
 #include <utility>
 
 #include "common/object_pool.hpp"
+#include "common/spin_wait.hpp"
 
 namespace evmp::exec {
 
@@ -80,11 +81,12 @@ class CompletionState {
   /// Timed parking is a bounded spin plus escalating naps — atomic waits
   /// have no timed form, and the await help-pump wants a lock-free poll.
   bool wait_for(std::chrono::nanoseconds timeout) {
-    std::uint32_t phase = spin_for_completion();
+    std::uint32_t phase = phase_.load(std::memory_order_acquire);
     if (phase == kPending) {
       const auto deadline = std::chrono::steady_clock::now() + timeout;
+      phase = spin_for_completion(timeout);
       std::chrono::nanoseconds nap{1000};
-      for (;;) {
+      while (phase == kPending) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) return false;
         std::this_thread::sleep_for(std::min(
@@ -92,7 +94,6 @@ class CompletionState {
                      deadline - now)));
         nap = std::min(nap * 2, std::chrono::nanoseconds{100000});
         phase = phase_.load(std::memory_order_acquire);
-        if (phase != kPending) break;
       }
     }
     if (phase == kError) std::rethrow_exception(error_);
@@ -134,37 +135,20 @@ class CompletionState {
   static constexpr std::uint32_t kDone = 1;
   static constexpr std::uint32_t kError = 2;
 
-  /// Brief bounded spin before parking: target blocks are often shorter
-  /// than a futex round trip. Two phases: cheap pause instructions first
-  /// (multi-core: catches completions racing this join), then a few
-  /// sched_yields (single-core: hands the CPU to the worker so the block
-  /// can actually finish) — only then does the caller pay the futex park.
-  std::uint32_t spin_for_completion() const noexcept {
+  /// Spin through the common::SpinWait window before parking: target
+  /// blocks are often shorter than a futex round trip, and a joiner that
+  /// is still awake when the block finishes pays no wake. `cap` bounds
+  /// the window for timed waits. On one usable CPU the window is a few
+  /// yields that hand the CPU to the worker so the block can finish.
+  std::uint32_t spin_for_completion(
+      std::chrono::nanoseconds cap = common::SpinWait::kWindow)
+      const noexcept {
     std::uint32_t phase = phase_.load(std::memory_order_acquire);
-    if (spin_pauses() > 0) {
-      for (int i = 0; i < spin_pauses() && phase == kPending; ++i) {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#else
-        std::this_thread::yield();
-#endif
-        phase = phase_.load(std::memory_order_acquire);
-      }
-    }
-    for (int i = 0; i < 16 && phase == kPending; ++i) {
-      std::this_thread::yield();
+    common::SpinWait spin(cap);
+    while (phase == kPending && spin.spin()) {
       phase = phase_.load(std::memory_order_acquire);
     }
     return phase;
-  }
-
-  /// Pause-spin budget before yielding. Zero on single-core machines: the
-  /// completing thread cannot make progress while this one pauses, so
-  /// spinning only delays the yield that lets it run.
-  static int spin_pauses() noexcept {
-    static const int pauses =
-        std::thread::hardware_concurrency() > 1 ? 128 : 0;
-    return pauses;
   }
 
   std::atomic<std::uint32_t> phase_{kPending};

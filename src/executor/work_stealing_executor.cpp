@@ -5,6 +5,7 @@
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
+#include "common/spin_wait.hpp"
 #include "common/tracing.hpp"
 
 namespace evmp::exec {
@@ -272,9 +273,9 @@ void WorkStealingExecutor::worker_main(int index) {
     }
     if (stopping_.load(std::memory_order_acquire)) break;  // scan above drained
 
-    // Out of work: climb the backoff ladder (pause-spins, then yields —
-    // both skipped straight to parking on a single-core host), re-probing
-    // all sources each step.
+    // Out of work: stay awake through the spin window (common::SpinWait;
+    // a few yields only on one usable CPU), re-probing all sources each
+    // step — work that lands inside the window needs no wake.
     common::SpinWait spin;
     bool found = false;
     while (spin.spin()) {
@@ -303,7 +304,7 @@ void WorkStealingExecutor::worker_main(int index) {
     // notify comes after its link, so it is the second case. A busy
     // try-lock means another consumer — possibly a foreign try_run_one()
     // helper — may leave nodes behind when it drops the lock, so never
-    // park on it: go round again (the spin ladder paces the retry).
+    // park on it: go round again (the spin window paces the retry).
     const auto key = idle_.prepare_wait();
     if (stopping_.load(std::memory_order_acquire)) {
       idle_.cancel_wait();

@@ -1,8 +1,7 @@
 #include "forkjoin/default_team.hpp"
 
-#include <thread>
-
 #include "common/env.hpp"
+#include "common/topology.hpp"
 
 namespace evmp::fj {
 
@@ -12,8 +11,7 @@ int default_thread_count() {
   if (auto v = common::env_long("EVMP_NUM_THREADS"); v && *v > 0) {
     return static_cast<int>(*v);
   }
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 4;
+  return common::Topology::usable_cpus();
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 
 namespace evmp::fj {
 
-/// The default team, sized from EVMP_NUM_THREADS (else
-/// hardware_concurrency, else 4). Created on first use.
+/// The default team, sized from EVMP_NUM_THREADS (else the usable-CPU
+/// count, common::Topology::usable_cpus). Created on first use.
 Team& default_team();
 
 /// Serialises regions on the default team.

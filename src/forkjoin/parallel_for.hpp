@@ -115,19 +115,18 @@ template <class T> constexpr T ident_max() { return std::numeric_limits<T>::lowe
 template <class T> constexpr T ident_band() { return static_cast<T>(~T{}); }
 template <class T> constexpr T ident_land() { return static_cast<T>(true); }
 
-/// Shared tail of parallel_reduce over an externally provided partials
-/// array (inline stack slots or heap fallback).
-template <class T, class Op, class F>
-T reduce_into(Team& team, long lo, long hi, T identity, Op& op, F& body,
-              Schedule sched, long chunk, Padded<T>* partials,
-              std::size_t num_slots) {
+/// Shared tail of the reductions over an externally provided partials
+/// array (inline stack slots or heap fallback): `per_range(slot, lo, hi)`
+/// folds one assigned range into the member's slot.
+template <class T, class Op, class PerRange>
+T reduce_into(Team& team, long lo, long hi, T identity, Op& op,
+              PerRange& per_range, Schedule sched, long chunk,
+              Padded<T>* partials, std::size_t num_slots) {
   parallel_ranges(
       team, lo, hi,
       [&](int tid, long range_lo, long range_hi) {
-        auto& slot = partials[static_cast<std::size_t>(tid)].value;
-        T local = slot;
-        for (long i = range_lo; i < range_hi; ++i) local = op(local, body(i));
-        slot = local;
+        per_range(partials[static_cast<std::size_t>(tid)].value, range_lo,
+                  range_hi);
       },
       sched, chunk);
   T result = identity;
@@ -135,6 +134,28 @@ T reduce_into(Team& team, long lo, long hi, T identity, Op& op, F& body,
     result = op(result, partials[i].value);
   }
   return result;
+}
+
+/// One padded partial per member: teams of up to 16 keep them on the
+/// caller's stack (SBO) — hot per-event reductions perform no heap
+/// allocation. Wider teams, and element types that cannot be
+/// default-constructed into the inline slots, fall back to a heap vector.
+template <class T, class Op, class PerRange>
+T reduce_with_slots(Team& team, long lo, long hi, T identity, Op& op,
+                    PerRange& per_range, Schedule sched, long chunk) {
+  const auto nth = static_cast<std::size_t>(team.num_threads());
+  constexpr std::size_t kInlineSlots = 16;
+  if constexpr (std::is_default_constructible_v<T>) {
+    if (nth <= kInlineSlots) {
+      Padded<T> partials[kInlineSlots];
+      for (std::size_t i = 0; i < nth; ++i) partials[i].value = identity;
+      return reduce_into(team, lo, hi, identity, op, per_range, sched, chunk,
+                         partials, nth);
+    }
+  }
+  std::vector<Padded<T>> partials(nth, Padded<T>{identity});
+  return reduce_into(team, lo, hi, identity, op, per_range, sched, chunk,
+                     partials.data(), nth);
 }
 
 }  // namespace detail
@@ -154,27 +175,30 @@ void parallel_for(Team& team, long lo, long hi, F&& body,
 
 /// `#pragma omp parallel for reduction(op:acc)`: fold body(i) over [lo, hi).
 /// `op(T, T) -> T` must be associative; `identity` is its neutral element.
-///
-/// Teams of up to 16 members keep their padded partials on the caller's
-/// stack (SBO) — hot per-event reductions perform no heap allocation. Wider
-/// teams, and element types that cannot be default-constructed into the
-/// inline slots, fall back to the heap vector.
+/// Allocation-free for teams of up to 16 members (detail::reduce_with_slots).
 template <class T, class Op, class F>
 T parallel_reduce(Team& team, long lo, long hi, T identity, Op op, F&& body,
                   Schedule sched = Schedule::kStatic, long chunk = 0) {
-  const auto nth = static_cast<std::size_t>(team.num_threads());
-  constexpr std::size_t kInlineSlots = 16;
-  if constexpr (std::is_default_constructible_v<T>) {
-    if (nth <= kInlineSlots) {
-      detail::Padded<T> partials[kInlineSlots];
-      for (std::size_t i = 0; i < nth; ++i) partials[i].value = identity;
-      return detail::reduce_into(team, lo, hi, identity, op, body, sched,
-                                 chunk, partials, nth);
-    }
-  }
-  std::vector<detail::Padded<T>> partials(nth, detail::Padded<T>{identity});
-  return detail::reduce_into(team, lo, hi, identity, op, body, sched, chunk,
-                             partials.data(), nth);
+  auto per_range = [&](T& slot, long range_lo, long range_hi) {
+    T local = slot;
+    for (long i = range_lo; i < range_hi; ++i) local = op(local, body(i));
+    slot = local;
+  };
+  return detail::reduce_with_slots(team, lo, hi, identity, op, per_range,
+                                   sched, chunk);
+}
+
+/// As parallel_reduce, but `body(range_lo, range_hi) -> T` folds a whole
+/// assigned range at once (the kernels' batched work model).
+template <class T, class Op, class F>
+T parallel_reduce_ranges(Team& team, long lo, long hi, T identity, Op op,
+                         F&& body, Schedule sched = Schedule::kStatic,
+                         long chunk = 0) {
+  auto per_range = [&](T& slot, long range_lo, long range_hi) {
+    slot = op(slot, body(range_lo, range_hi));
+  };
+  return detail::reduce_with_slots(team, lo, hi, identity, op, per_range,
+                                   sched, chunk);
 }
 
 }  // namespace evmp::fj

@@ -1,6 +1,6 @@
 #include "forkjoin/team.hpp"
 
-#include "common/event_count.hpp"
+#include "common/spin_wait.hpp"
 
 namespace evmp::fj {
 
@@ -42,7 +42,7 @@ Team::~Team() {
   helpers_.clear();  // jthread joins
 }
 
-void Team::run_member(int tid, const std::function<void(int, int)>& fn) {
+void Team::run_member(int tid, const RegionFn& fn) {
   const int prev_tid = t_thread_num;
   const int prev_n = t_num_threads;
   const bool prev_in = t_in_parallel;
@@ -60,7 +60,7 @@ void Team::run_member(int tid, const std::function<void(int, int)>& fn) {
   t_in_parallel = prev_in;
 }
 
-void Team::parallel(const std::function<void(int, int)>& fn) {
+void Team::parallel(RegionFn fn) {
   regions_.fetch_add(1, std::memory_order_relaxed);
   if (n_ == 1) {
     // Degenerate team: run on the encountering thread, but keep the

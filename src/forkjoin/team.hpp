@@ -10,7 +10,7 @@
 // which the benchmarks reproduce via the "synchronous parallel" approach.
 //
 // Synchronisation: fork, join and barrier() are built on C++20 atomic
-// wait/notify with a spin-then-park ladder (common::SpinWait) instead of
+// wait/notify with a spin-then-park window (common::SpinWait) instead of
 // the previous mutex + two condition variables + mutex-based barrier. A
 // fork is one release store (the task pointer) plus one epoch bump; a
 // helper wakes from the epoch word; the join is an atomic countdown the
@@ -23,8 +23,10 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace evmp::fj {
@@ -46,6 +48,34 @@ int num_threads() noexcept;
 /// omp_in_parallel(): true while inside a fork-join region.
 bool in_parallel() noexcept;
 
+/// Non-owning reference to a region body `fn(thread_id, team_size)`. A
+/// region's body outlives the region (parallel() joins before it
+/// returns), so the fork publishes a pointer to the caller's callable
+/// instead of a type-erased copy: no allocation however large the capture
+/// — std::function would heap-allocate any `[&]` body that captures more
+/// than 16 bytes.
+class RegionFn {
+ public:
+  template <class F,
+            class = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, RegionFn> &&
+                std::is_invocable_v<std::remove_reference_t<F>&, int, int>>>
+  RegionFn(F&& fn) noexcept  // implicit: parallel([&](int, int) {...})
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_(&invoke<std::remove_reference_t<F>>) {}
+
+  void operator()(int tid, int nth) const { call_(obj_, tid, nth); }
+
+ private:
+  template <class F>
+  static void invoke(void* obj, int tid, int nth) {
+    (*static_cast<F*>(obj))(tid, nth);
+  }
+
+  void* obj_;
+  void (*call_)(void*, int, int);
+};
+
 /// A reusable fork-join team of `num_threads` members (1 master = the
 /// thread calling parallel(), plus num_threads-1 pool helpers).
 class Team {
@@ -60,7 +90,7 @@ class Team {
   /// thread 0 and blocks until all members return (fork-join). If any member
   /// throws, the first exception is rethrown here after the join.
   /// Not reentrant: a region body must not call parallel() on the same team.
-  void parallel(const std::function<void(int, int)>& fn);
+  void parallel(RegionFn fn);
 
   /// In-region barrier: every team member must call it the same number of
   /// times (like `#pragma omp barrier`). Only valid inside parallel().
@@ -78,7 +108,7 @@ class Team {
 
  private:
   void helper_main(int tid);
-  void run_member(int tid, const std::function<void(int, int)>& fn);
+  void run_member(int tid, const RegionFn& fn);
 
   const int n_;
 
@@ -86,7 +116,7 @@ class Team {
   // fork epoch (release) and notifies; a helper acquiring the new epoch
   // therefore sees the task pointer. fork_epoch_ is also bumped (without a
   // region) at destruction so parked helpers wake and observe stopping_.
-  std::atomic<const std::function<void(int, int)>*> task_{nullptr};
+  std::atomic<const RegionFn*> task_{nullptr};
   std::atomic<std::uint64_t> fork_epoch_{0};
   std::atomic<std::uint64_t> regions_{0};
   std::atomic<bool> stopping_{false};

@@ -1,6 +1,8 @@
 #include "forkjoin/team_pool.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -28,25 +30,16 @@ TeamPool::Lease TeamPool::lease(int width) {
       lk.lock();
     }
     // Direct-mapped buckets hold one width; the overflow bucket (> 64)
-    // mixes widths and needs an exact-match scan.
+    // mixes widths and needs an exact-match scan. Take the most recently
+    // parked match (LIFO): the warmest team is reused, and a team the
+    // load no longer needs ages toward a sweep.
     auto& teams = bucket.teams;
-    if (width <= kMaxBucketWidth) {
-      if (!teams.empty()) {
-        std::unique_ptr<Team> team = std::move(teams.back());
-        teams.pop_back();
-        idle_total_.fetch_sub(1, std::memory_order_relaxed);
-        return Lease(this, std::move(team));
-      }
-    } else {
-      for (auto it = teams.begin(); it != teams.end(); ++it) {
-        if ((*it)->num_threads() == width) {
-          std::unique_ptr<Team> team = std::move(*it);
-          *it = std::move(teams.back());
-          teams.pop_back();
-          idle_total_.fetch_sub(1, std::memory_order_relaxed);
-          return Lease(this, std::move(team));
-        }
-      }
+    for (auto it = teams.rbegin(); it != teams.rend(); ++it) {
+      if (it->team->num_threads() != width) continue;
+      std::unique_ptr<Team> team = std::move(it->team);
+      teams.erase(std::next(it).base());
+      idle_total_.fetch_sub(1, std::memory_order_relaxed);
+      return Lease(this, std::move(team));
     }
   }
   // Miss: construct outside the lock (Team's constructor spawns helper
@@ -59,10 +52,13 @@ TeamPool::Lease TeamPool::lease(int width) {
 TeamPool::Lease TeamPool::lease_adaptive(int hint) {
   const int width = governor_.decide(hint);
   if (governor_.decay_due()) {
-    // Load has had kDecayPeriod leases to re-peak the estimate; anything
-    // the decayed floor no longer covers is a stale burst remnant whose
-    // helper threads can be released.
-    trim(governor_.decay());
+    // Load has had kDecayPeriod leases to re-peak the estimate. A team
+    // parked before the previous sweep was not needed by any of them: a
+    // stale burst remnant whose helper threads can be released, as far
+    // as the decayed floor allows.
+    const std::uint64_t previous =
+        sweeps_.fetch_add(1, std::memory_order_relaxed);
+    trim_parked_before(governor_.decay(), previous);
   }
   return lease(width);
 }
@@ -71,11 +67,17 @@ void TeamPool::give_back(std::unique_ptr<Team> team) {
   governor_.on_release();
   Bucket& bucket = bucket_for(team->num_threads());
   std::scoped_lock lk(bucket.mu);
-  bucket.teams.push_back(std::move(team));
+  bucket.teams.push_back(
+      Parked{std::move(team), sweeps_.load(std::memory_order_relaxed)});
   idle_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TeamPool::trim(std::size_t floor) {
+  trim_parked_before(floor, std::numeric_limits<std::uint64_t>::max());
+}
+
+void TeamPool::trim_parked_before(std::size_t floor,
+                                  std::uint64_t parked_before) {
   if (idle_total_.load(std::memory_order_relaxed) <= floor) return;
   std::vector<std::unique_ptr<Team>> drained;
   // Walk widest-first: wide teams pin the most helper threads per slot.
@@ -87,12 +89,19 @@ void TeamPool::trim(std::size_t floor) {
         step == 0 ? 0 : static_cast<std::size_t>(kMaxBucketWidth) + 1 - step;
     Bucket& bucket = buckets_[index];
     std::scoped_lock lk(bucket.mu);
-    while (!bucket.teams.empty() &&
-           idle_total_.load(std::memory_order_relaxed) > floor) {
-      drained.push_back(std::move(bucket.teams.back()));
-      bucket.teams.pop_back();
-      idle_total_.fetch_sub(1, std::memory_order_relaxed);
+    // Oldest first within a bucket: front entries were parked earliest.
+    auto& teams = bucket.teams;
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < teams.size(); ++i) {
+      if (teams[i].since_sweep < parked_before &&
+          idle_total_.load(std::memory_order_relaxed) > floor) {
+        drained.push_back(std::move(teams[i].team));
+        idle_total_.fetch_sub(1, std::memory_order_relaxed);
+      } else {
+        teams[keep++] = std::move(teams[i]);
+      }
     }
+    teams.resize(keep);
     if (idle_total_.load(std::memory_order_relaxed) <= floor) break;
   }
   // Teams (and their helper-thread joins) die outside the locks.

@@ -27,10 +27,14 @@
 //  * a Lease is an exclusive handle (move-only RAII): the team is never
 //    shared, so Team's non-reentrancy contract is unchanged;
 //  * returned teams are parked, not destroyed (their helpers cost their
-//    creation once; parked helpers sleep on a futex, not the scheduler);
-//    trim() releases parked teams down to a floor when load decays — the
-//    governor triggers it automatically every WidthGovernor::kDecayPeriod
-//    adaptive leases;
+//    creation once; parked helpers sleep on a futex, not the scheduler).
+//    Every WidthGovernor::kDecayPeriod adaptive leases a sweep releases
+//    the parked teams that stayed idle through the whole previous period,
+//    down to the governor's decayed floor. A team that any lease used in
+//    the period stays warm, so load that alternates between one and two
+//    concurrent regions keeps both teams instead of destroying and
+//    re-creating one (joining and spawning helper threads on the lease
+//    path) every period; trim() releases parked teams unconditionally;
 //  * the pool itself is a leaked singleton, like common::Tracer: leases
 //    may unwind during late static teardown, and a destructed pool (or
 //    one joining helper threads at exit) would turn every such unwind
@@ -165,9 +169,15 @@ class TeamPool {
   // share the overflow bucket (index 0) and are matched by exact width.
   static constexpr int kMaxBucketWidth = 64;
 
+  /// An idle team and the sweep count when it was parked.
+  struct Parked {
+    std::unique_ptr<Team> team;
+    std::uint64_t since_sweep = 0;
+  };
+
   struct Bucket {
     std::mutex mu;
-    std::vector<std::unique_ptr<Team>> teams;
+    std::vector<Parked> teams;
   };
 
   Bucket& bucket_for(int width) noexcept {
@@ -178,8 +188,13 @@ class TeamPool {
 
   void give_back(std::unique_ptr<Team> team);
 
+  /// Release idle teams parked before sweep `parked_before` (all of them
+  /// for UINT64_MAX), widest first, until at most `floor` remain.
+  void trim_parked_before(std::size_t floor, std::uint64_t parked_before);
+
   std::array<Bucket, static_cast<std::size_t>(kMaxBucketWidth) + 1> buckets_;
   std::atomic<std::size_t> idle_total_{0};
+  std::atomic<std::uint64_t> sweeps_{0};  ///< decay sweeps so far
   std::atomic<std::uint64_t> teams_created_{0};
   std::atomic<std::uint64_t> leases_granted_{0};
   std::atomic<std::uint64_t> lease_contentions_{0};

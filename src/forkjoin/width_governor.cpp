@@ -3,25 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <string>
-#include <thread>
 
+#include "common/topology.hpp"
 #include "common/tracing.hpp"
 
 namespace evmp::fj {
-
-namespace {
-
-// Read once: glibc's hardware_concurrency() re-reads sysfs on every call
-// (microseconds), which decide() would otherwise pay on each lease.
-int hardware_cores() noexcept {
-  static const int cores = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }();
-  return cores;
-}
-
-}  // namespace
 
 WidthGovernor::WidthGovernor(int cores) noexcept {
   if (cores > 0) cores_override_.store(cores, std::memory_order_relaxed);
@@ -33,7 +19,7 @@ void WidthGovernor::set_cores(int cores) noexcept {
 
 int WidthGovernor::cores() const noexcept {
   const int v = cores_override_.load(std::memory_order_relaxed);
-  return v > 0 ? v : hardware_cores();
+  return v > 0 ? v : common::Topology::usable_cpus();
 }
 
 void WidthGovernor::on_lease() noexcept {

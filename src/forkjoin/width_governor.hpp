@@ -11,7 +11,7 @@
 //  * the number of concurrently leased teams (each is a running region
 //    competing for the same cores),
 //  * a queue-depth hint (regions already waiting behind them), and
-//  * the core budget (hardware_concurrency, or the simulated machine's
+//  * the core budget (the usable-CPU count, or the simulated machine's
 //    core count in the Figure 9 model benches).
 //
 // Granted width = clamp(kOversubscription * cores / demand, 1, hint): a
@@ -38,7 +38,7 @@ namespace evmp::fj {
 struct WidthSignals {
   int active_leases = 0;  ///< regions running now (excluding the requester)
   int queue_depth = 0;    ///< regions queued behind them
-  int cores = 0;          ///< core budget; <= 0 means hardware_concurrency
+  int cores = 0;          ///< core budget; <= 0 means the usable CPUs
 };
 
 /// Sizes adaptive team leases from live load; all state is relaxed
@@ -55,11 +55,11 @@ class WidthGovernor {
   /// to 1 the moment demand reaches the core count.
   static constexpr int kOversubscription = 2;
 
-  /// cores <= 0 selects std::thread::hardware_concurrency().
+  /// cores <= 0 selects common::Topology::usable_cpus().
   explicit WidthGovernor(int cores = 0) noexcept;
 
   /// Override the core budget (benches model virtual machines; 0 restores
-  /// hardware_concurrency).
+  /// the usable-CPU count).
   void set_cores(int cores) noexcept;
   [[nodiscard]] int cores() const noexcept;
 

@@ -69,13 +69,14 @@ void PyjamaConnector::submit_batch(std::vector<Request> requests,
   // costs two lock acquisitions end to end instead of 2·N.
   dispatcher_->post([this, reqs = std::move(requests),
                      cb = std::move(on_done)]() mutable {
-    std::vector<exec::Task> blocks;
+    // Unerased blocks: the runtime erases each one once, inside its
+    // completion wrapper.
+    const auto block_for = [this, &cb](Request& req) {
+      return [this, r = std::move(req), done = cb] { done(handler_(r)); };
+    };
+    std::vector<decltype(block_for(reqs.front()))> blocks;
     blocks.reserve(reqs.size());
-    for (auto& req : reqs) {
-      blocks.emplace_back([this, r = std::move(req), done = cb] {
-        done(handler_(r));
-      });
-    }
+    for (auto& req : reqs) blocks.push_back(block_for(req));
     // //#omp target virtual(worker) nowait  — per burst, not per request
     rt_.target("worker").nowait_batch(std::move(blocks));
   });

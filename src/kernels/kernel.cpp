@@ -1,5 +1,6 @@
 #include "kernels/kernel.hpp"
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -103,19 +104,10 @@ std::uint64_t Kernel::run_parallel_adaptive(int max_width, fj::Schedule sched,
 std::uint64_t Kernel::run_parallel_range(fj::Team& team, long range_lo,
                                          long range_hi, fj::Schedule sched,
                                          long chunk) {
-  std::vector<fj::detail::Padded<std::uint64_t>> partials(
-      static_cast<std::size_t>(team.num_threads()),
-      fj::detail::Padded<std::uint64_t>{0});
-  fj::parallel_ranges(
-      team, range_lo, range_hi,
-      [&](int tid, long lo, long hi) {
-        partials[static_cast<std::size_t>(tid)].value +=
-            process_range(lo, hi);
-      },
-      sched, chunk);
-  std::uint64_t combined = 0;
-  for (const auto& p : partials) combined += p.value;
-  return combined;
+  return fj::parallel_reduce_ranges(
+      team, range_lo, range_hi, std::uint64_t{0}, std::plus<>{},
+      [this](long lo, long hi) { return process_range(lo, hi); }, sched,
+      chunk);
 }
 
 std::unique_ptr<Kernel> make_kernel(std::string_view kernel_name,

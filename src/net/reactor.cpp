@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "common/spin_wait.hpp"
 
 namespace evmp::net {
 
@@ -238,6 +239,7 @@ int Reactor::timer_wait_ms() const noexcept {
 ReactorStats Reactor::stats() const noexcept {
   ReactorStats s;
   s.epoll_waits = epoll_waits_.load(std::memory_order_relaxed);
+  s.parks = parks_.load(std::memory_order_relaxed);
   s.fd_events = fd_events_.load(std::memory_order_relaxed);
   s.wakeups = wakeups_.load(std::memory_order_relaxed);
   s.tasks_run = tasks_run_.load(std::memory_order_relaxed);
@@ -248,6 +250,15 @@ ReactorStats Reactor::stats() const noexcept {
 }
 
 void Reactor::wake() {
+  // Write the eventfd only to a parked reactor: one awake in its poll
+  // window finds the push by itself. Dekker pairing with the park in
+  // wait_for_events(): the caller's push (or stop flag) precedes this
+  // fence and the parked_ load follows it; the park stores parked_,
+  // fences, then loads the queue and the stop flag. Of two seq_cst
+  // fences one comes first, so either the reactor sees the push and
+  // stays up, or this load sees it parked.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!parked_.load(std::memory_order_relaxed)) return;
   // Skip the syscall while a previous wake is still unconsumed; the
   // seq_cst exchange pairs with the loop's flag clear (see run()) so a
   // push is never stranded behind a cleared flag. Producers call this
@@ -259,6 +270,43 @@ void Reactor::wake() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
       ::write(wake_fd_.get(), &one, sizeof(one));
+}
+
+int Reactor::wait_for_events(epoll_event* events, int max_events) {
+  // Poll through the spin window first: the next request or posted
+  // completion usually arrives within it, and a reactor that is still
+  // awake takes it without an eventfd write or a wake. Timers due now
+  // skip the window (their callbacks are already late).
+  if (timer_wait_ms() != 0) {
+    common::SpinWait spin;
+    do {
+      const int n = ::epoll_wait(epoll_.get(), events, max_events, 0);
+      if (n != 0) {
+        if (n > 0) epoll_waits_.fetch_add(1, std::memory_order_relaxed);
+        return n;
+      }
+      if (!tasks_.empty() ||
+          stop_requested_.load(std::memory_order_acquire)) {
+        return 0;
+      }
+    } while (spin.spin());
+  }
+  // Park: announce it, then re-check everything a producer could have
+  // changed without writing the eventfd (see wake()): posted tasks and
+  // the stop request. A cut list reads as non-empty, so the loop goes
+  // round and drains once the push is linked.
+  parked_.store(true, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!tasks_.empty() || stop_requested_.load(std::memory_order_relaxed)) {
+    parked_.store(false, std::memory_order_relaxed);
+    return 0;
+  }
+  parks_.fetch_add(1, std::memory_order_relaxed);
+  const int n =
+      ::epoll_wait(epoll_.get(), events, max_events, timer_wait_ms());
+  parked_.store(false, std::memory_order_relaxed);
+  if (n >= 0) epoll_waits_.fetch_add(1, std::memory_order_relaxed);
+  return n;
 }
 
 void Reactor::drain_tasks() {
@@ -277,15 +325,13 @@ void Reactor::run() {
     drain_tasks();
     if (stop_requested_.load(std::memory_order_acquire)) break;
     fire_due_timers();
-    const int n =
-        ::epoll_wait(epoll_.get(), events, kMaxEvents, timer_wait_ms());
+    const int n = wait_for_events(events, kMaxEvents);
     if (n < 0) {
       if (errno == EINTR) continue;
       EVMP_LOG_WARN << "reactor '" << name() << "' epoll_wait failed: errno "
                     << errno;
       break;
     }
-    epoll_waits_.fetch_add(1, std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {
       if (events[i].data.ptr == nullptr) {
         std::uint64_t value = 0;

@@ -9,12 +9,18 @@
 //
 //   * fd readiness, harvested edge-triggered from epoll_wait;
 //   * posted tasks (the Executor interface), delivered through a lock-free
-//     MPSC queue (common::MpscQueue) and an eventfd wakeup, which is how
-//     completions flow *back* onto the reactor from worker targets. The
-//     queue is FIFO across producers: a post that happens-before another
-//     (even one made on a different thread) runs first; and
+//     MPSC queue (common::MpscQueue) and, if the loop is parked, an
+//     eventfd wakeup. This is how completions flow *back* onto the
+//     reactor from worker targets. The queue is FIFO across producers: a
+//     post that happens-before another (even one made on a different
+//     thread) runs first; and
 //   * timers, kept in a hashed timer wheel (connection idle timeouts,
 //     asyncio completion deadlines) and fired between epoll batches.
+//
+// When the loop runs dry it polls epoll and the task queue through the
+// common::SpinWait window before it blocks, and it announces the block
+// (parked_). Producers write the eventfd only to a parked reactor, so
+// under steady traffic neither side pays a wake syscall.
 //
 // Because Reactor is an exec::Executor, it registers with the Runtime as
 // a named virtual target: a worker-side handler finishing a response
@@ -36,11 +42,16 @@
 #include "executor/task_node.hpp"
 #include "net/socket.hpp"
 
+struct epoll_event;
+
 namespace evmp::net {
 
 /// Counters published by the reactor (relaxed; observability only).
 struct ReactorStats {
-  std::uint64_t epoll_waits = 0;       ///< epoll_wait returns
+  /// epoll_wait calls that delivered readiness or parked (empty polls in
+  /// the spin window are not counted)
+  std::uint64_t epoll_waits = 0;
+  std::uint64_t parks = 0;             ///< blocking epoll_waits (parked)
   std::uint64_t fd_events = 0;         ///< readiness events delivered
   std::uint64_t wakeups = 0;           ///< eventfd wakeups consumed
   std::uint64_t tasks_run = 0;         ///< posted tasks executed
@@ -158,6 +169,12 @@ class Reactor final : public exec::Executor {
 
   void run();
   void drain_tasks();
+  /// Poll epoll, the task queue and the stop flag through the spin
+  /// window, then announce the park, re-check, and block in epoll_wait
+  /// until readiness, a wake or the next timer. Returns epoll_wait's
+  /// result (0: go drain).
+  int wait_for_events(epoll_event* events, int max_events);
+  /// Write the eventfd if the reactor is parked (after a push or stop).
   void wake();
   /// Take a producer share of gate_; false once stop() has begun.
   bool admit() noexcept;
@@ -184,6 +201,9 @@ class Reactor final : public exec::Executor {
   static constexpr std::uint64_t kGateClosed = 1;
   static constexpr std::uint64_t kGateShare = 2;
   alignas(64) std::atomic<std::uint64_t> gate_{0};
+  // True while the reactor is (about to be) blocked in epoll_wait; only
+  // then do producers write the eventfd (see wake()).
+  alignas(64) std::atomic<bool> parked_{false};
   std::atomic<bool> wake_pending_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
@@ -196,6 +216,7 @@ class Reactor final : public exec::Executor {
   std::atomic<TimerId> next_timer_id_{1};
 
   std::atomic<std::uint64_t> epoll_waits_{0};
+  std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> fd_events_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> tasks_run_{0};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <set>
@@ -13,6 +14,7 @@
 #include <thread>
 
 #include "common/clock.hpp"
+#include "common/spin_wait.hpp"
 #include "common/sync.hpp"
 #include "event/event_loop.hpp"
 #include "executor/completion.hpp"
@@ -235,6 +237,30 @@ TEST(ThreadPool, ShutdownDrainsQueuedTasks) {
     pool.shutdown();
   }
   EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, ShutdownDuringTheSpinWindowIsPrompt) {
+  // An idle worker stays awake polling the queue through the spin window
+  // before it parks on the condvar. shutdown() closes the queue; a worker
+  // still in its window must see the close by itself and exit, not wait
+  // for a wake it will never get. Sweep the shutdown across the window.
+  const auto window = common::SpinWait::window();
+  for (int round = 0; round < 60; ++round) {
+    ThreadPoolExecutor pool("p.window", 2);
+    std::atomic<bool> ran{false};
+    pool.post([&ran] { ran.store(true); });
+    while (!ran.load()) std::this_thread::yield();
+    const auto offset = window * (round % 12) / 10;
+    const auto until = std::chrono::steady_clock::now() + offset;
+    while (std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();  // a worker may share this CPU
+    }
+    const auto begin = std::chrono::steady_clock::now();
+    pool.shutdown();
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(1))
+        << "round " << round;
+  }
 }
 
 TEST(ThreadPool, PostAfterShutdownIsDropped) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/spin_wait.hpp"
 #include "common/sync.hpp"
 #include "common/topology.hpp"
 #include "executor/work_stealing_executor.hpp"
@@ -275,6 +277,69 @@ TEST(Topology, PinCurrentThreadIsAdvisory) {
 #endif
   });
   probe.join();
+}
+
+TEST(Topology, UsableCpusCountsTheAffinityMask) {
+  // hardware_concurrency() ignores the mask; under `taskset -c 0` this
+  // reads 1 where hardware_concurrency() still reports every CPU.
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(Topology::usable_cpus(), CPU_COUNT(&set));
+#endif
+  EXPECT_GE(Topology::usable_cpus(), 1);
+}
+
+// --- SpinWait -----------------------------------------------------------
+
+TEST(SpinWait, WindowIsZeroOnOneUsableCpu) {
+  EXPECT_EQ(SpinWait::window_for(1).count(), 0);
+  EXPECT_EQ(SpinWait::window_for(2), SpinWait::kWindow);
+  EXPECT_EQ(SpinWait::window_for(64), SpinWait::kWindow);
+  EXPECT_EQ(SpinWait::window(), SpinWait::window_for(Topology::usable_cpus()));
+  if (Topology::usable_cpus() == 1) {
+    EXPECT_EQ(SpinWait::window().count(), 0);
+  }
+}
+
+TEST(SpinWait, ZeroWindowIsAFewYieldsThenPark) {
+  SpinWait spin(std::chrono::nanoseconds{0});
+  int steps = 0;
+  while (spin.spin()) ++steps;
+  EXPECT_EQ(steps, 16);
+  EXPECT_FALSE(spin.spin());  // stays over until reset
+  spin.reset();
+  EXPECT_TRUE(spin.spin());
+}
+
+TEST(SpinWait, SpinLastsTheWindow) {
+  if (SpinWait::window().count() == 0) {
+    GTEST_SKIP() << "one usable CPU: no spin window";
+  }
+  for (int round = 0; round < 3; ++round) {
+    SpinWait spin;
+    const auto begin = std::chrono::steady_clock::now();
+    while (spin.spin()) {
+    }
+    const auto spent = std::chrono::steady_clock::now() - begin;
+    EXPECT_GE(spent, SpinWait::window());
+    EXPECT_LT(spent, std::chrono::seconds(1));
+    spin.reset();  // a fresh window after progress
+    EXPECT_TRUE(spin.spin());
+  }
+}
+
+TEST(SpinWait, CapShortensTheWindow) {
+  if (SpinWait::window().count() == 0) {
+    GTEST_SKIP() << "one usable CPU: no spin window";
+  }
+  SpinWait spin(std::chrono::microseconds{5});
+  const auto begin = std::chrono::steady_clock::now();
+  while (spin.spin()) {
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - begin,
+            std::chrono::microseconds{5});
 }
 
 }  // namespace

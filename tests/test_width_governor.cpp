@@ -187,6 +187,44 @@ TEST(TeamPoolAdaptive, AdaptiveWidthIsRunnable) {
   EXPECT_EQ(ran.load(), lease->num_threads());
 }
 
+TEST(TeamPoolAdaptive, AlternatingOneAndTwoConcurrentLeasesKeepTwoTeams) {
+  TeamPool pool;
+  pool.governor().set_cores(8);  // every width-2 hint is granted in full
+  // Phases shorter than a decay period, so each team is leased in every
+  // period and no sweep may destroy (and the next phase re-create) one.
+  constexpr int kPhaseLeases = WidthGovernor::kDecayPeriod / 2 + 7;
+  for (int phase = 0; phase < 40; ++phase) {
+    for (int i = 0; i < kPhaseLeases; ++i) {
+      if (phase % 2 == 0) {
+        auto one = pool.lease_adaptive(2);
+        ASSERT_EQ(one->num_threads(), 2);
+      } else {
+        auto first = pool.lease_adaptive(2);
+        auto second = pool.lease_adaptive(2);
+        ASSERT_EQ(second->num_threads(), 2);
+      }
+    }
+  }
+  EXPECT_LE(pool.teams_created(), 2u);
+}
+
+TEST(TeamPoolAdaptive, TeamIdleThroughAWholePeriodIsTrimmed) {
+  TeamPool pool;
+  pool.governor().set_cores(8);
+  {
+    auto first = pool.lease_adaptive(2);
+    auto second = pool.lease_adaptive(2);
+  }
+  EXPECT_EQ(pool.idle_count(), 2u);
+  // Lone leases from here on: the second team stays parked through whole
+  // decay periods and is released; the warm team survives every sweep.
+  for (std::uint32_t i = 0; i < 4 * WidthGovernor::kDecayPeriod; ++i) {
+    auto one = pool.lease_adaptive(2);
+  }
+  EXPECT_EQ(pool.idle_count(), 1u);
+  EXPECT_EQ(pool.teams_created(), 2u);
+}
+
 // --- trim / idle accounting / stats ---------------------------------------
 
 TEST(TeamPoolTrim, TrimsDownToFloor) {

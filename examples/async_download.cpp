@@ -51,9 +51,9 @@ int main() {
 
   // Competing events that must keep flowing during the await.
   for (int i = 0; i < 5; ++i) {
-    edt.post_delayed(
-        [i] { std::printf("[edt]    tick %d dispatched during download\n", i); },
-        evmp::common::Millis{15 * (i + 1)});
+    edt.add_timer(
+        evmp::common::Millis{15 * (i + 1)},
+        [i] { std::printf("[edt]    tick %d dispatched during download\n", i); });
   }
 
   done.wait();

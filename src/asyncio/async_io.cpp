@@ -1,11 +1,9 @@
 #include "asyncio/async_io.hpp"
 
-#include <algorithm>
-#include <functional>
+#include <stdexcept>
 
-#include "common/sync.hpp"
+#include "common/rng.hpp"
 #include "common/tracing.hpp"
-#include "net/reactor.hpp"
 
 namespace evmp::io {
 
@@ -22,15 +20,34 @@ std::uint64_t hash_name(const std::string& s) {
 
 }  // namespace
 
-bool AsyncIoService::later_due(const Pending& a, const Pending& b) {
-  if (a.due != b.due) return a.due > b.due;
-  return a.seq > b.seq;
-}
+/// The timer callback that retires one operation. The loop destroys the
+/// timers still pending when it stops; each retires its operation from
+/// the destructor then, early, so shutdown() leaves no waiter hanging.
+class AsyncIoService::Retire {
+ public:
+  Retire(AsyncIoService* service, std::unique_ptr<Pending> pending)
+      : service_(service), pending_(std::move(pending)) {}
+  Retire(Retire&&) noexcept = default;
+  Retire& operator=(Retire&&) = delete;
+  ~Retire() {
+    if (pending_) service_->retire(*pending_);
+  }
+
+  void operator()() {
+    service_->retire(*pending_);
+    pending_.reset();
+  }
+
+ private:
+  AsyncIoService* service_;
+  std::unique_ptr<Pending> pending_;  ///< null once retired (or moved)
+};
 
 AsyncIoService::AsyncIoService() : AsyncIoService(Config{}) {}
 
-AsyncIoService::AsyncIoService(Config cfg)
-    : cfg_(cfg), rng_(cfg.seed), thread_([this] { completion_main(); }) {}
+AsyncIoService::AsyncIoService(Config cfg) : cfg_(cfg), loop_("asyncio") {
+  loop_.start();
+}
 
 AsyncIoService::~AsyncIoService() { shutdown(); }
 
@@ -39,8 +56,12 @@ common::Nanos AsyncIoService::modeled_duration(const DeviceModel& model,
   double secs = common::to_sec(model.base_latency) +
                 static_cast<double>(bytes) / model.bytes_per_sec;
   if (model.jitter_fraction > 0.0) {
-    // rng_ is guarded by mu_ in submit().
-    const double u = rng_.next_double() * 2.0 - 1.0;
+    // The n-th draw is the n-th output of SplitMix64(seed): deterministic
+    // per submission order, and submitters share no generator state.
+    const std::uint64_t n = draws_.fetch_add(1, std::memory_order_relaxed);
+    common::SplitMix64 gen(cfg_.seed + n * 0x9e3779b97f4a7c15ull);
+    const double u =
+        static_cast<double>(gen.next() >> 11) * 0x1.0p-53 * 2.0 - 1.0;
     secs *= 1.0 + model.jitter_fraction * u;
   }
   return common::Nanos{static_cast<std::int64_t>(secs * 1e9)};
@@ -54,26 +75,20 @@ IoOperation AsyncIoService::submit(const DeviceModel& model,
   IoOperation op;
   exec::CompletionRef state = exec::CompletionState::make();
   op.handle_ = exec::TaskHandle(state);
-  {
-    std::scoped_lock lk(mu_);
-    if (stopping_) {
-      state->set_exception(std::make_exception_ptr(
-          std::runtime_error("AsyncIoService is shut down")));
-      return op;
-    }
-    Pending p;
-    p.due = common::now() + modeled_duration(model, bytes);
-    p.seq = seq_++;
-    p.state = state;
-    p.data = op.data_;
-    p.bytes = bytes;
-    p.content_seed = content_seed;
-    p.post_to = post_to;
-    p.continuation = std::move(continuation);
-    queue_.push_back(std::move(p));
-    std::push_heap(queue_.begin(), queue_.end(), &AsyncIoService::later_due);
-    cv_.notify_all();  // under the lock: destruction-safe wakeup
+  op.due_ = common::now();
+  if (stopping_.load(std::memory_order_acquire)) {
+    state->set_exception(std::make_exception_ptr(
+        std::runtime_error("AsyncIoService is shut down")));
+    return op;
   }
+  op.due_ += modeled_duration(model, bytes);
+  auto pending = std::make_unique<Pending>(
+      Pending{std::move(state), op.data_, bytes, content_seed, post_to,
+              std::move(continuation)});
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  // The timer's deadline is now() + the remaining time: never before due.
+  loop_.add_timer(op.due_ - common::now(),
+                  exec::Task(Retire(this, std::move(pending))));
   return op;
 }
 
@@ -100,63 +115,30 @@ IoOperation AsyncIoService::fetch_url_then(const std::string& url,
                 std::move(on_complete));
 }
 
-std::size_t AsyncIoService::in_flight() const {
-  std::scoped_lock lk(mu_);
-  return queue_.size();
-}
-
-void AsyncIoService::attach_reactor(net::Reactor& reactor) {
-  std::scoped_lock lk(mu_);
-  reactor_ = &reactor;
-}
-
-void AsyncIoService::ensure_reactor_timer_locked(common::TimePoint due) {
-  if (reactor_timer_id_ != 0 && reactor_timer_due_ <= due) return;
-  if (reactor_timer_id_ != 0) reactor_->cancel_timer(reactor_timer_id_);
-  reactor_timer_due_ = due;
-  const auto delay = due - common::now();
-  reactor_timer_id_ = reactor_->add_timer(
-      std::max(common::Nanos{0},
-               std::chrono::duration_cast<common::Nanos>(delay)),
-      exec::Task([this] { on_reactor_timer(); }));
-}
-
-// Reactor thread: the single wheel timer fired; hand the baton to the
-// completion thread, which retires due operations and re-arms as needed.
-void AsyncIoService::on_reactor_timer() {
-  std::scoped_lock lk(mu_);
-  reactor_timer_id_ = 0;
-  reactor_timer_due_ = common::TimePoint::max();
-  reactor_wakeups_.fetch_add(1, std::memory_order_relaxed);
-  cv_.notify_all();
+// Loop thread: generate content (reads/fetches), flip the handle, fire the
+// continuation.
+void AsyncIoService::retire(Pending& p) {
+  if (p.content_seed != 0) {
+    p.data->resize(p.bytes);
+    common::SplitMix64 gen(p.content_seed);
+    for (auto& b : *p.data) {
+      b = static_cast<std::uint8_t>(gen.next() & 0xff);
+    }
+  }
+  bytes_.fetch_add(p.bytes, std::memory_order_relaxed);
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  p.state->set_done();
+  if (p.post_to != nullptr && p.continuation) {
+    p.post_to->post(std::move(p.continuation));
+  }
 }
 
 void AsyncIoService::shutdown() {
-  {
-    std::scoped_lock lk(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  std::uint64_t timer = 0;
-  net::Reactor* reactor = nullptr;
-  {
-    std::scoped_lock lk(mu_);
-    timer = reactor_timer_id_;
-    reactor_timer_id_ = 0;
-    reactor = reactor_;
-  }
-  if (reactor != nullptr && reactor->running()) {
-    if (timer != 0) reactor->cancel_timer(timer);
-    // Drain the posted cancel and any in-flight wake before returning, so
-    // no timer callback can outlive this object. Timed: if the reactor
-    // stopped between the running() check and the post, the sentinel was
-    // dropped and its timers discarded — equally safe, just don't hang.
-    common::CountdownLatch drained(1);
-    reactor->post(exec::Task([&drained] { drained.count_down(); }));
-    (void)drained.wait_for(std::chrono::seconds{2});
-  }
+  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+  // Accepted submissions still arm their timers in the loop's final
+  // drain; the loop then destroys every pending timer, which retires it.
+  loop_.stop();
   publish_counters();
 }
 
@@ -167,53 +149,6 @@ void AsyncIoService::publish_counters(const std::string& prefix) const {
                      completed_.load(std::memory_order_relaxed));
   tracer.set_counter(prefix + ".bytes_transferred",
                      bytes_.load(std::memory_order_relaxed));
-  tracer.set_counter(prefix + ".reactor_wakeups",
-                     reactor_wakeups_.load(std::memory_order_relaxed));
-}
-
-void AsyncIoService::completion_main() {
-  std::unique_lock lk(mu_);
-  while (true) {
-    if (queue_.empty()) {
-      if (stopping_) return;
-      cv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
-      continue;
-    }
-    const auto due = queue_.front().due;
-    if (common::now() < due && !stopping_) {
-      if (reactor_ != nullptr && reactor_->running()) {
-        // Single-timer path: the reactor's wheel owns the deadline; this
-        // thread sleeps untimed until the wake (or a new submission).
-        ensure_reactor_timer_locked(due);
-        cv_.wait(lk);
-      } else {
-        cv_.wait_until(lk, due);
-      }
-      continue;
-    }
-    std::pop_heap(queue_.begin(), queue_.end(), &AsyncIoService::later_due);
-    Pending p = std::move(queue_.back());
-    queue_.pop_back();
-    lk.unlock();
-
-    // Retire: generate content (reads/fetches), flip the handle, fire the
-    // continuation. On shutdown, pending ops still retire (possibly early)
-    // so no waiter hangs.
-    if (p.content_seed != 0) {
-      p.data->resize(p.bytes);
-      common::SplitMix64 gen(p.content_seed);
-      for (auto& b : *p.data) {
-        b = static_cast<std::uint8_t>(gen.next() & 0xff);
-      }
-    }
-    bytes_.fetch_add(p.bytes, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    p.state->set_done();
-    if (p.post_to != nullptr && p.continuation) {
-      p.post_to->post(std::move(p.continuation));
-    }
-    lk.lock();
-  }
 }
 
 }  // namespace evmp::io

@@ -18,22 +18,15 @@
 // applied to I/O.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/rng.hpp"
+#include "event/event_loop.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
-
-namespace evmp::net {
-class Reactor;
-}  // namespace evmp::net
 
 namespace evmp::io {
 
@@ -57,17 +50,22 @@ class IoOperation {
     return *data_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return data_->size(); }
+  /// When the device model completes the transfer: the operation retires
+  /// no earlier (later only by the loop's lateness, or earlier at
+  /// shutdown). A refused submission's due() is its submission instant.
+  [[nodiscard]] common::TimePoint due() const noexcept { return due_; }
 
  private:
   friend class AsyncIoService;
   exec::TaskHandle handle_;
   std::shared_ptr<std::vector<std::uint8_t>> data_ =
       std::make_shared<std::vector<std::uint8_t>>();
+  common::TimePoint due_{};
 };
 
-/// Simulated asynchronous I/O service. One completion thread retires
-/// operations in deadline order; no caller thread blocks while an
-/// operation is in flight.
+/// Simulated asynchronous I/O service. Its event loop is the completion
+/// thread: each operation is one timer on it, so operations retire in
+/// deadline order, and no caller thread blocks while one is in flight.
 class AsyncIoService {
  public:
   struct Config {
@@ -95,21 +93,13 @@ class AsyncIoService {
 
   /// As fetch_url, but additionally run `on_complete` on `executor` when
   /// the transfer finishes — completion-to-executor integration, e.g.
-  /// post straight to the "edt" target.
+  /// post straight to the "edt" target. Continuations are posted in
+  /// retire order.
   IoOperation fetch_url_then(const std::string& url, std::size_t bytes,
                              exec::Executor& executor, exec::Task on_complete);
 
-  /// Route completion timing through `reactor`'s timer wheel: the
-  /// completion thread stops running its own timed waits and instead
-  /// sleeps until a single reactor timer — armed at the earliest pending
-  /// deadline, re-armed as earlier operations arrive — wakes it. The
-  /// reactor thus becomes the one timing source for both socket timeouts
-  /// and asyncio completions. Call once, before submitting operations;
-  /// the reactor must not be stopped concurrently with shutdown() (either
-  /// order is fine, just not overlapped).
-  void attach_reactor(net::Reactor& reactor);
-
-  /// Stop accepting work, retire everything in flight, join. Idempotent.
+  /// Stop accepting work, retire everything in flight (early), stop the
+  /// loop. Idempotent.
   void shutdown();
 
   [[nodiscard]] std::uint64_t operations_completed() const noexcept {
@@ -118,22 +108,18 @@ class AsyncIoService {
   [[nodiscard]] std::uint64_t bytes_transferred() const noexcept {
     return bytes_.load(std::memory_order_relaxed);
   }
-  /// Reactor-timer wakeups delivered to the completion thread.
-  [[nodiscard]] std::uint64_t reactor_wakeups() const noexcept {
-    return reactor_wakeups_.load(std::memory_order_relaxed);
-  }
   /// Operations submitted but not yet retired.
-  [[nodiscard]] std::size_t in_flight() const;
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return in_flight_.load(std::memory_order_relaxed);
+  }
 
   /// Export "<prefix>.ops_pending" / "<prefix>.ops_completed" /
-  /// "<prefix>.bytes_transferred" / "<prefix>.reactor_wakeups" through
-  /// common::Tracer (also called by shutdown()).
+  /// "<prefix>.bytes_transferred" through common::Tracer (also called by
+  /// shutdown()).
   void publish_counters(const std::string& prefix = "asyncio") const;
 
  private:
   struct Pending {
-    common::TimePoint due;
-    std::uint64_t seq = 0;
     exec::CompletionRef state;
     std::shared_ptr<std::vector<std::uint8_t>> data;
     std::size_t bytes = 0;
@@ -141,33 +127,21 @@ class AsyncIoService {
     exec::Executor* post_to = nullptr;
     exec::Task continuation;
   };
+  class Retire;
 
-  static bool later_due(const Pending& a, const Pending& b);
   IoOperation submit(const DeviceModel& model, std::size_t bytes,
                      std::uint64_t content_seed, exec::Executor* post_to,
                      exec::Task continuation);
   common::Nanos modeled_duration(const DeviceModel& model, std::size_t bytes);
-  void completion_main();
-  /// mu_ held: make sure one reactor timer covers deadline `due`.
-  void ensure_reactor_timer_locked(common::TimePoint due);
-  void on_reactor_timer();
+  void retire(Pending& p);
 
   Config cfg_;
-  common::Xoshiro256 rng_;  // guarded by mu_
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Pending> queue_;  // min-heap by (due, seq)
-  std::uint64_t seq_ = 0;
-  bool stopping_ = false;
-  net::Reactor* reactor_ = nullptr;        // set once by attach_reactor
-  std::uint64_t reactor_timer_id_ = 0;     // guarded by mu_; 0 = none
-  common::TimePoint reactor_timer_due_{};  // guarded by mu_
-
+  std::atomic<bool> stopping_{false};
+  std::atomic<std::uint64_t> draws_{0};  ///< jitter draws so far
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> reactor_wakeups_{0};
-  std::jthread thread_;
+  std::atomic<std::size_t> in_flight_{0};
+  event::EventLoop loop_;  // last: stopped before the counters it retires into
 };
 
 }  // namespace evmp::io

@@ -1,7 +1,7 @@
 #pragma once
 // Pooled task envelope shared by the executors that queue tasks through
 // intrusive structures: the stealing pool's Chase–Lev deques and its
-// injection queue, and the reactor's task queue (common::MpscQueue).
+// injection queue, and the event loop's task queue (common::MpscQueue).
 //
 // Queues move trivially-copyable TaskNode pointers, so racy pre-CAS slot
 // reads (Chase–Lev) and link swaps (MPSC) are well-defined, and a task is
@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <span>
 
+#include "common/clock.hpp"
 #include "common/object_pool.hpp"
 #include "executor/executor.hpp"
 
@@ -20,6 +21,7 @@ namespace evmp::exec {
 
 struct TaskNode {
   Task fn;
+  common::TimePoint posted{};  ///< event::EventLoop's dispatch-delay stamp
   std::atomic<TaskNode*> mpsc_next_{nullptr};  ///< common::MpscQueue link
   TaskNode* pool_next_ = nullptr;              ///< common::ObjectPool link
 };

@@ -106,10 +106,8 @@ class Kernel {
       long chunk = 0);
 
   /// Parallel run restricted to units [lo, hi) — used by handlers that
-  /// interleave GUI progress updates between kernel halves. Virtual so
-  /// kernels with cross-unit ordering constraints (e.g. SOR's red/black
-  /// phases) can impose phase barriers while reusing the schedules.
-  virtual std::uint64_t run_parallel_range(
+  /// interleave GUI progress updates between kernel halves.
+  std::uint64_t run_parallel_range(
       fj::Team& team, long lo, long hi,
       fj::Schedule sched = fj::Schedule::kStatic, long chunk = 0);
 
@@ -131,9 +129,5 @@ std::unique_ptr<Kernel> make_kernel(std::string_view kernel_name,
 
 /// The paper's four evaluation kernels, in its order.
 const std::vector<std::string>& kernel_names();
-
-/// All kernels the factory accepts: the paper's four plus the "sor" and
-/// "sparsematmult" extensions (JGF kernels not used by the paper).
-const std::vector<std::string>& extended_kernel_names();
 
 }  // namespace evmp::kernels

@@ -22,7 +22,7 @@ constexpr std::size_t kReadChunk = 16 * 1024;
 // reactor thread; worker handlers reach it exclusively through
 // Server::complete() posted back to the reactor (keyed by cid, never by
 // pointer, so a connection that died in the meantime is simply a drop).
-struct Connection : Reactor::FdHandler {
+struct Connection : event::EventLoop::FdHandler {
   Connection(Server& server, std::uint64_t conn_id, Fd socket)
       : srv(server),
         cid(conn_id),
@@ -160,7 +160,7 @@ struct Connection : Reactor::FdHandler {
 };
 
 // The listening socket's handler: accept until EAGAIN (edge-triggered).
-class Server::Acceptor : public Reactor::FdHandler {
+class Server::Acceptor : public event::EventLoop::FdHandler {
  public:
   explicit Acceptor(Server& server) : srv_(server) {}
 

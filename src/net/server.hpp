@@ -1,14 +1,15 @@
 #pragma once
 // Loopback HTTP front end: the Figure 9 service over real sockets.
 //
-// A net::Server owns one Reactor, a listening socket, and the connection
-// table. Socket readiness becomes work in the paper's model, not around
-// it: every complete HTTP request is dispatched onto a named virtual
-// target with `name_as` (so the server can drain with wait(tag)), the
-// handler runs on the worker target exactly like a simulated-connector
-// request, and its completion posts the encoded response back to the
-// reactor — which is itself registered as a virtual target, so the
-// continuation-in-place style survives the hop onto real I/O.
+// A net::Server owns one event::EventLoop (its reactor), a listening
+// socket, and the connection table. Socket readiness becomes work in
+// the paper's model, not around it: every complete HTTP request is
+// dispatched onto a named virtual target with `name_as` (so the server
+// can drain with wait(tag)), the handler runs on the worker target
+// exactly like a simulated-connector request, and its completion posts
+// the encoded response back to the reactor — which is itself
+// registered as a virtual target, so the continuation-in-place style
+// survives the hop onto real I/O.
 //
 // Admission control is a two-level hysteresis state machine keyed on the
 // server-wide in-flight count:
@@ -37,13 +38,16 @@
 
 #include "common/clock.hpp"
 #include "core/runtime.hpp"
+#include "event/event_loop.hpp"
 #include "httpsim/request.hpp"
-#include "net/reactor.hpp"
 #include "net/socket.hpp"
 
 namespace evmp::net {
 
 struct Connection;  // per-socket state; reactor-thread only (server.cpp)
+
+/// The reactor's counters under their front-end name.
+using ReactorStats = event::LoopStats;
 
 /// Counter snapshot (relaxed atomics; monotone while running).
 struct ServerStats {
@@ -91,7 +95,7 @@ class Server {
     /// closes until a connection dies.
     std::size_t max_connections = 0;
     /// Close connections with no traffic for this long (0 = off). Checked
-    /// by a per-connection wheel timer that re-arms itself, so an active
+    /// by a per-connection timer that re-arms itself, so an active
     /// connection never pays a cancel.
     common::Nanos idle_timeout{0};
     /// Counter prefix, reactor name, and the virtual-target name the
@@ -117,7 +121,7 @@ class Server {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   [[nodiscard]] ServerStats stats() const noexcept;
-  [[nodiscard]] Reactor& reactor() noexcept { return reactor_; }
+  [[nodiscard]] event::EventLoop& reactor() noexcept { return reactor_; }
   [[nodiscard]] bool shedding() const noexcept {
     return shedding_.load(std::memory_order_relaxed);
   }
@@ -146,7 +150,7 @@ class Server {
 
   Runtime& rt_;
   Config cfg_;
-  Reactor reactor_;
+  event::EventLoop reactor_;
   Fd listen_;
   std::uint16_t port_ = 0;
   std::unique_ptr<Acceptor> acceptor_;

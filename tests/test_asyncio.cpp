@@ -5,14 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "asyncio/async_io.hpp"
 #include "common/sync.hpp"
 #include "core/runtime.hpp"
 #include "core/target.hpp"
 #include "event/event_loop.hpp"
-#include "net/reactor.hpp"
 
 namespace evmp::io {
 namespace {
@@ -72,14 +74,31 @@ TEST(AsyncIo, LatencyModelRespected) {
 }
 
 TEST(AsyncIo, OperationsRetireInDeadlineOrder) {
+  // The larger fetch is submitted first but has the later deadline (its
+  // transfer adds 100 ms). Operations retire in deadline order on the
+  // service's loop, which posts each continuation as it retires, so the
+  // order the continuations run on one loop is the retire order — however
+  // late either loop wakes. It also shows an earlier deadline never
+  // waits behind a later one.
   auto cfg = fast_config();
+  cfg.network.bytes_per_sec = 1e7;
   AsyncIoService io(cfg);
-  // Larger read has a later deadline despite earlier submission order.
-  auto slow = io.read_file("slow", 1'000'000);  // +1ms transfer
-  auto fast = io.read_file("fast", 16);
-  fast.handle().wait();
-  EXPECT_FALSE(slow.handle().done());
-  slow.handle().wait();
+  event::EventLoop edt("edt");
+  edt.start();
+  std::vector<std::string> order;  // EDT only
+  common::CountdownLatch done(2);
+  auto slow = io.fetch_url_then("slow", 1'000'000, edt, [&] {
+    order.emplace_back("slow");
+    done.count_down();
+  });
+  auto fast = io.fetch_url_then("fast", 16, edt, [&] {
+    order.emplace_back("fast");
+    done.count_down();
+  });
+  ASSERT_TRUE(done.wait_for(std::chrono::seconds{10}));
+  EXPECT_EQ(order, (std::vector<std::string>{"fast", "slow"}));
+  EXPECT_LT(fast.due(), slow.due());
+  EXPECT_EQ(slow.size(), 1'000'000u);
 }
 
 TEST(AsyncIo, WriteHasNoContent) {
@@ -118,7 +137,11 @@ TEST(AsyncIo, ShutdownRetiresInFlightOps) {
   AsyncIoService io(cfg);
   auto op = io.read_file("pending", 128);
   io.shutdown();  // must not leave the waiter hanging
-  EXPECT_TRUE(op.handle().wait_for(std::chrono::seconds{5}));
+  ASSERT_TRUE(op.handle().wait_for(std::chrono::seconds{5}));
+  op.handle().wait();  // retired, not failed
+  EXPECT_EQ(op.size(), 128u);
+  EXPECT_EQ(io.in_flight(), 0u);
+  EXPECT_EQ(io.operations_completed(), 1u);
 }
 
 TEST(AsyncIo, ManyConcurrentOpsAllComplete) {
@@ -173,67 +196,41 @@ TEST(AsyncIo, AwaitHandleOnForeignThreadJustBlocks) {
 }
 
 TEST(AsyncIo, JitterStaysWithinBounds) {
+  // 10 ms +- 30 %: every modeled duration lies in [7, 13] ms. due() is
+  // submission + duration, and the submission instant lies between
+  // `before` and `after`, so due - after <= duration <= due - before.
   auto cfg = fast_config();
   cfg.network.base_latency = common::Millis{10};
   cfg.network.bytes_per_sec = 1e12;  // latency dominated
   cfg.network.jitter_fraction = 0.3;
   AsyncIoService io(cfg);
-  for (int i = 0; i < 5; ++i) {
-    const common::Stopwatch sw;
-    auto op = io.fetch_url("u", 16);
-    op.handle().wait();
-    const double ms = sw.elapsed_ms();
-    EXPECT_GE(ms, 6.0);
-    EXPECT_LE(ms, 40.0);
+  constexpr int kOps = 200;
+  std::vector<IoOperation> ops;
+  std::vector<common::TimePoint> before;
+  common::Nanos shortest = common::Millis{1000};
+  common::Nanos longest{0};
+  for (int i = 0; i < kOps; ++i) {
+    before.push_back(common::now());
+    ops.push_back(io.fetch_url("u", 16));
+    const common::TimePoint after = common::now();
+    const common::Nanos at_most = ops.back().due() - before.back();
+    const common::Nanos at_least = ops.back().due() - after;
+    EXPECT_GE(at_most, common::Millis{7}) << "op " << i;
+    EXPECT_LE(at_least, common::Millis{13}) << "op " << i;
+    shortest = std::min(shortest, at_least);
+    longest = std::max(longest, at_most);
   }
-}
-
-TEST(AsyncIo, ReactorTimerWheelDrivesCompletions) {
-  // attach_reactor: the completion thread stops running its own timed
-  // waits and sleeps until the single reactor wheel timer wakes it —
-  // operations must still retire on time, and the wakeup counter proves
-  // the timing came off the wheel.
-  net::Reactor reactor("t.io");
-  reactor.start();
-  auto cfg = fast_config();
-  cfg.disk.base_latency = common::Millis{5};
-  AsyncIoService io(cfg);
-  io.attach_reactor(reactor);
-  auto a = io.read_file("wheel-a", 128);
-  auto b = io.read_file("wheel-b", 64);
-  a.handle().wait();
-  b.handle().wait();
-  EXPECT_EQ(a.size(), 128u);
-  EXPECT_EQ(b.size(), 64u);
-  EXPECT_EQ(io.operations_completed(), 2u);
-  EXPECT_GE(io.reactor_wakeups(), 1u);
-  io.shutdown();  // cancels the armed timer, drains the reactor queue
-  reactor.stop();
-  EXPECT_GE(reactor.stats().timers_scheduled, 1u);
-}
-
-TEST(AsyncIo, ReactorEarlierDeadlineRearmsTheTimer) {
-  // A later-armed operation with an earlier deadline must replace the
-  // pending wheel timer, not wait behind it.
-  net::Reactor reactor("t.io2");
-  reactor.start();
-  auto cfg = fast_config();
-  cfg.disk.base_latency = common::Millis{50};
-  cfg.network.base_latency = common::Millis{5};
-  cfg.network.bytes_per_sec = 1e12;
-  cfg.network.jitter_fraction = 0.0;
-  AsyncIoService io(cfg);
-  io.attach_reactor(reactor);
-  const common::Stopwatch sw;
-  auto slow = io.read_file("slow", 16);
-  auto fast = io.fetch_url("fast", 16);
-  fast.handle().wait();
-  const double fast_ms = sw.elapsed_ms();
-  EXPECT_LT(fast_ms, 40.0) << "network op must not wait out the disk timer";
-  EXPECT_FALSE(slow.handle().done());
-  slow.handle().wait();
-  io.shutdown();
-  reactor.stop();
+  // The jitter is applied, across most of its range.
+  EXPECT_LT(shortest, common::Millis{8});
+  EXPECT_GT(longest, common::Millis{12});
+  // No operation completes before its modeled duration has passed.
+  for (int i = 0; i < kOps; ++i) {
+    ops[static_cast<std::size_t>(i)].handle().wait();
+    EXPECT_GE(common::elapsed_ns(before[static_cast<std::size_t>(i)],
+                                 common::now()),
+              6'000'000)
+        << "op " << i;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Tests for src/net: the HTTP/1.1 wire layer, the epoll reactor (posted
-// tasks, timer wheel, shutdown), the loopback server (echo and handler
-// modes, EOF/partial-write/keep-alive paths, idle timeouts, graceful
-// stop) and the watermark admission machinery end to end, plus the
-// bounded injection queue and try_post at the unit level.
+// Tests for src/net: the HTTP/1.1 wire layer, the loopback server (echo
+// and handler modes, EOF/partial-write/keep-alive paths, idle timeouts,
+// graceful stop) and the watermark admission machinery end to end, plus
+// the bounded injection queue and try_post at the unit level. The event
+// loop under the server is tested in test_event_loop.cpp.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -18,11 +18,9 @@
 #include <vector>
 
 #include "common/sharded_queue.hpp"
-#include "common/spin_wait.hpp"
 #include "core/runtime.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "net/http.hpp"
-#include "net/reactor.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 
@@ -245,231 +243,6 @@ TEST(Http, MalformedInputIsError) {
   huge.append(kMaxHeaderBytes, 'a');
   EXPECT_EQ(parse_http_request(as_bytes_view(huge), &consumed, &req),
             ParseStatus::kError);
-}
-
-// --- reactor --------------------------------------------------------------
-
-TEST(Reactor, RunsPostedTasksOnItsOwnThread) {
-  Reactor reactor("t.reactor");
-  reactor.start();
-  std::atomic<bool> ran{false};
-  std::atomic<bool> owned{false};
-  reactor.post(exec::Task([&] {
-    owned.store(reactor.owns_current_thread());
-    ran.store(true);
-  }));
-  for (int i = 0; i < 1000 && !ran.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(ran.load());
-  EXPECT_TRUE(owned.load());
-  reactor.stop();
-  EXPECT_GE(reactor.stats().tasks_run, 1u);
-}
-
-TEST(Reactor, StopIsIdempotentAndRefusesLatePosts) {
-  Reactor reactor("t.reactor2");
-  reactor.start();
-  reactor.stop();
-  reactor.stop();
-  EXPECT_FALSE(reactor.try_post(exec::Task([] { FAIL() << "ran late"; })));
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-}
-
-TEST(Reactor, PostsRacingStopAreRunOrRefusedNeverLost) {
-  // Producers hammer try_post() while stop()
-  // closes the reactor. Each task is either run by the final drain or
-  // refused with `false`; none is lost, none runs twice. Every task holds
-  // a copy of `token`, so its use count proves each task object — run or
-  // refused — was destroyed, i.e. no queued node leaked.
-  constexpr int kProducers = 4;
-  for (int round = 0; round < 20; ++round) {
-    Reactor reactor("t.reactor.race");
-    reactor.start();
-    auto token = std::make_shared<int>(0);
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> ran{0};
-    std::vector<std::jthread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&] {
-        for (;;) {
-          exec::Task task([&ran, token] { ran.fetch_add(1); });
-          if (!reactor.try_post(std::move(task))) break;
-          accepted.fetch_add(1);
-        }
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100 * (round % 5)));
-    reactor.stop();
-    producers.clear();
-    EXPECT_EQ(ran.load(), accepted.load()) << "round " << round;
-    EXPECT_EQ(token.use_count(), 1) << "round " << round;
-  }
-}
-
-/// Spin until `done` holds or `limit` passes; true when it held.
-template <class Pred>
-bool spin_until(Pred done, std::chrono::milliseconds limit) {
-  const auto deadline = std::chrono::steady_clock::now() + limit;
-  while (!done()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
-}
-
-/// Wait `span` without blocking. Yields each step: a new thread often
-/// starts on its creator's CPU, and a reactor sharing this thread's CPU
-/// must keep running (and its poll window keep elapsing) meanwhile.
-void busy_wait(std::chrono::nanoseconds span) {
-  const auto until = std::chrono::steady_clock::now() + span;
-  while (std::chrono::steady_clock::now() < until) {
-    std::this_thread::yield();
-  }
-}
-
-TEST(Reactor, PostsRacingTheParkAnnouncementAreNeverLost) {
-  // A producer writes the eventfd only when it sees the reactor parked.
-  // A post landing just as the reactor leaves its poll window and
-  // announces the park must still run: the reactor's re-check after the
-  // announcement sees it, or the producer sees the announcement. Each
-  // round posts after a delay swept across the end of the window and
-  // waits (bounded) for the task; a lost wake would leave it queued with
-  // the reactor blocked in epoll_wait. Half the sweeps are narrow, around
-  // the window's end, where the announcement races the post. Odd rounds
-  // post a batch.
-  Reactor reactor("t.reactor.park");
-  reactor.start();
-  const auto window = common::SpinWait::window();
-  const std::chrono::nanoseconds wide =
-      2 * window + std::chrono::microseconds{200};
-  const std::chrono::nanoseconds narrow = std::chrono::microseconds{20};
-  const auto narrow_from =
-      std::max(window - narrow / 2, std::chrono::nanoseconds{0});
-  constexpr int kSteps = 50;
-  constexpr int kRounds = 400;
-  std::atomic<int> ran{0};
-  int expected = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    const int step = round % kSteps;
-    busy_wait((round / kSteps) % 2 == 0
-                  ? narrow_from + narrow * step / kSteps
-                  : wide * step / kSteps);
-    if (round % 2 == 0) {
-      reactor.post(exec::Task([&ran] { ran.fetch_add(1); }));
-      expected += 1;
-    } else {
-      std::vector<exec::Task> batch;
-      batch.emplace_back([&ran] { ran.fetch_add(1); });
-      batch.emplace_back([&ran] { ran.fetch_add(1); });
-      reactor.post_batch(batch);
-      expected += 2;
-    }
-    ASSERT_TRUE(spin_until([&] { return ran.load() == expected; },
-                           std::chrono::seconds(5)))
-        << "round " << round << ": posted task never ran (lost wake)";
-  }
-  reactor.stop();
-  EXPECT_GT(reactor.stats().parks, 0u);  // some rounds met a parked loop
-}
-
-TEST(Reactor, StopDuringThePollWindowReturns) {
-  // stop() sets the stop flag and writes the eventfd only to a parked
-  // reactor; a reactor inside its poll window must notice the flag by
-  // itself, and one announcing its park must re-check it. Sweep the stop
-  // across the window.
-  const auto window = common::SpinWait::window();
-  for (int round = 0; round < 60; ++round) {
-    Reactor reactor("t.reactor.stopwin");
-    reactor.start();
-    std::atomic<bool> ran{false};
-    reactor.post(exec::Task([&ran] { ran.store(true); }));
-    ASSERT_TRUE(spin_until([&] { return ran.load(); },
-                           std::chrono::seconds(5)));
-    busy_wait(window * (round % 12) / 10);
-    const auto begin = std::chrono::steady_clock::now();
-    reactor.stop();
-    EXPECT_LT(std::chrono::steady_clock::now() - begin,
-              std::chrono::seconds(1))
-        << "round " << round;
-    EXPECT_FALSE(reactor.running());
-  }
-}
-
-TEST(Reactor, NoEventfdWakeupsWhileThePollWindowCoversTheGap) {
-  if (common::SpinWait::window().count() == 0) {
-    GTEST_SKIP() << "one usable CPU: the reactor parks at once";
-  }
-  // Ping-pong: post, wait for the task, post the next at once. Each gap
-  // is a few microseconds, well inside the poll window, so the reactor
-  // never parks between posts and no post writes the eventfd. A few
-  // wakes are tolerated for rounds where this thread lost its CPU for
-  // longer than the window on a loaded host.
-  Reactor reactor("t.reactor.poll");
-  reactor.start();
-  std::atomic<int> ran{0};
-  reactor.post(exec::Task([&ran] { ran.fetch_add(1); }));
-  ASSERT_TRUE(spin_until([&] { return ran.load() == 1; },
-                         std::chrono::seconds(5)));
-  const ReactorStats before = reactor.stats();
-  constexpr int kRounds = 2000;
-  for (int round = 2; round <= kRounds + 1; ++round) {
-    reactor.post(exec::Task([&ran] { ran.fetch_add(1); }));
-    ASSERT_TRUE(spin_until([&] { return ran.load() == round; },
-                           std::chrono::seconds(5)));
-  }
-  const ReactorStats after = reactor.stats();
-  reactor.stop();
-  EXPECT_LE(after.wakeups - before.wakeups, kRounds / 20u);
-  EXPECT_LE(after.parks - before.parks, kRounds / 20u);
-}
-
-TEST(Reactor, TimerFiresOnceAfterDelay) {
-  Reactor reactor("t.timer");
-  reactor.start();
-  std::atomic<int> fired{0};
-  reactor.add_timer(std::chrono::milliseconds{5},
-                    exec::Task([&] { fired.fetch_add(1); }));
-  for (int i = 0; i < 1000 && fired.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(fired.load(), 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(fired.load(), 1);  // one-shot
-  reactor.stop();
-  const ReactorStats s = reactor.stats();
-  EXPECT_GE(s.timers_scheduled, 1u);
-  EXPECT_GE(s.timers_fired, 1u);
-}
-
-TEST(Reactor, CancelledTimerNeverFires) {
-  Reactor reactor("t.cancel");
-  reactor.start();
-  std::atomic<bool> fired{false};
-  const TimerId id = reactor.add_timer(std::chrono::milliseconds{30},
-                                       exec::Task([&] { fired.store(true); }));
-  reactor.cancel_timer(id);
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_FALSE(fired.load());
-  reactor.stop();
-  EXPECT_EQ(reactor.stats().timers_cancelled, 1u);
-}
-
-TEST(Reactor, TimerCallbackMayRearmItself) {
-  Reactor reactor("t.rearm");
-  reactor.start();
-  std::atomic<int> ticks{0};
-  std::function<void()> tick = [&] {
-    if (ticks.fetch_add(1) + 1 < 3) {
-      reactor.add_timer(std::chrono::milliseconds{2}, exec::Task(tick));
-    }
-  };
-  reactor.add_timer(std::chrono::milliseconds{2}, exec::Task(tick));
-  for (int i = 0; i < 1000 && ticks.load() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(ticks.load(), 3);
-  reactor.stop();
 }
 
 // --- server ---------------------------------------------------------------

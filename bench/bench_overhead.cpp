@@ -31,7 +31,7 @@
 #include "core/runtime.hpp"
 #include "core/target.hpp"
 #include "event/event_loop.hpp"
-#include "executor/thread_pool_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
 
 // GCC pairs the replaced operator new (malloc-backed) with calls to the
 // replaced sized/aligned deletes and flags them as mismatched even though
@@ -326,7 +326,7 @@ int check_budget(const char* what, std::uint64_t allocs, int ops,
 
 /// Measure steady-state allocations per nowait dispatch on the submitting
 /// thread. Paced in rounds (dispatch a burst, then join) so queue depth,
-/// ring-buffer capacity and completion-pool population stabilise during
+/// task-node and completion-pool populations stabilise during
 /// warmup; the measured phase then repeats the identical pattern.
 int run_alloc_check(const std::string& budget_path) {
   const double budget =

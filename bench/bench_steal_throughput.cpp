@@ -1,14 +1,12 @@
 // ST1 — steal throughput and fork-join region latency: the lock-free
-// Chase–Lev WorkStealingExecutor against the mutex-per-deque
-// LockedWorkStealingExecutor it replaced, plus pooled vs per-region
-// fork-join teams (the Figure 9 oversubscription fix).
+// Chase–Lev WorkStealingExecutor on a recursive spawn tree, plus pooled vs
+// per-region fork-join teams (the Figure 9 oversubscription fix). The
+// mutex-per-deque pool this one replaced is gone; its last numbers are
+// frozen in EXPERIMENTS.md §ST1.
 //
 // Workloads:
 //  * spawn-tree: each task posts two children down to a given depth — the
-//    steal-heavy recursive pattern where deque contention dominates. On a
-//    multi-core host the lock-free deque is expected to be >=2x the locked
-//    baseline at 4+ threads; on a single-CPU container both are time-slice
-//    bound and the difference shows in the counters instead.
+//    steal-heavy recursive pattern where deque contention dominates;
 //  * region latency: a trivial width-W parallel region per iteration,
 //    once with a freshly constructed fj::Team per region (the paper's
 //    per-event pathology) and once leasing from fj::TeamPool.
@@ -18,7 +16,7 @@
 // nonzero when the rate exceeds the budget file's
 // "allocs_per_steal_dispatch" — the CI perf-smoke gate for the
 // zero-allocation steady-state claim (TaskNode recycling via ObjectPool,
-// retained Chase–Lev buffers, ring-buffer injection shards).
+// retained Chase–Lev buffers, the intrusive injection queue).
 
 #include <atomic>
 #include <cstdint>
@@ -33,7 +31,6 @@
 #include "common/clock.hpp"
 #include "common/sync.hpp"
 #include "common/table.hpp"
-#include "executor/locked_work_stealing_executor.hpp"
 #include "executor/work_stealing_executor.hpp"
 #include "forkjoin/team.hpp"
 #include "forkjoin/team_pool.hpp"
@@ -251,9 +248,9 @@ int run_adaptive_lease_alloc_check(const std::string& budget_path,
 }
 
 /// Measure steady-state allocations per executed task across the whole
-/// process. Paced in identical rounds so the ObjectPool population, the
-/// Chase–Lev buffers and the injection ring shards all reach their
-/// high-water marks during warmup; the measured phase then repeats the
+/// process. Paced in identical rounds so the ObjectPool population and the
+/// Chase–Lev buffers reach their high-water marks during warmup; the
+/// measured phase then repeats the
 /// exact same pattern and should touch the heap zero times.
 int run_alloc_check(const std::string& budget_path, int threads) {
   const double budget =
@@ -309,7 +306,7 @@ int main(int argc, char** argv) {
   const int width = static_cast<int>(args.get_long("width", 3));
   const std::string budget_path = args.get("alloc-check", "");
 
-  std::printf("ST1: lock-free vs locked work stealing (%d threads), "
+  std::printf("ST1: lock-free work stealing (%d threads), "
               "pooled vs fresh fork-join teams (width %d)\n",
               threads, width);
 
@@ -318,19 +315,6 @@ int main(int argc, char** argv) {
       {"workload", "variant", "ms", "Mtasks/s", "steals", "local pops"});
 
   std::uint64_t tasks = 0;
-  {
-    evmp::exec::LockedWorkStealingExecutor locked(
-        "st1-locked", static_cast<std::size_t>(threads));
-    run_tree(locked, 8, 4, spin_us, &tasks);  // warm-up
-    const double ms = run_tree(locked, roots, depth, spin_us, &tasks);
-    table.add_row({"spawn-tree " + std::to_string(roots) + " x depth " +
-                       std::to_string(depth),
-                   "locked", evmp::common::fmt(ms, 1),
-                   evmp::common::fmt(static_cast<double>(tasks) / ms / 1e3, 2),
-                   std::to_string(locked.steals()),
-                   std::to_string(locked.local_pops())});
-    locked.shutdown();
-  }
   {
     evmp::exec::WorkStealingExecutor lockfree(
         "st1-lockfree", static_cast<std::size_t>(threads));
@@ -375,13 +359,9 @@ int main(int argc, char** argv) {
                        " helpers spawned"});
   }
   table.print(std::cout);
-  std::printf("\nExpected on multi-core hosts: chase-lev >=2x the locked "
-              "baseline on the spawn-tree at 4+ threads (no mutex on the "
-              "owner's hot path, parked idlers instead of a polling CV), "
-              "and pooled regions orders of magnitude more region "
-              "throughput with zero helpers spawned in steady state. On a "
-              "single-CPU container wall times converge; the counters "
-              "still separate the designs.\n");
+  std::printf("\nExpected: pooled regions orders of magnitude more region "
+              "throughput than fresh teams, with zero helpers spawned in "
+              "steady state.\n");
 
   if (!budget_path.empty()) {
     const int rc = run_alloc_check(budget_path, threads);

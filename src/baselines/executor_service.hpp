@@ -8,7 +8,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "executor/thread_pool_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
 
 namespace evmp::baselines {
 
@@ -39,10 +39,10 @@ class ExecutorService {
   /// Drain queued tasks and join the pool (Java shutdown+awaitTermination).
   void shutdown() { pool_.shutdown(); }
 
-  [[nodiscard]] exec::ThreadPoolExecutor& pool() noexcept { return pool_; }
+  [[nodiscard]] exec::WorkStealingExecutor& pool() noexcept { return pool_; }
 
  private:
-  exec::ThreadPoolExecutor pool_;
+  exec::WorkStealingExecutor pool_;
 };
 
 }  // namespace evmp::baselines

@@ -2,9 +2,9 @@
 
 namespace evmp::baselines {
 
-exec::ThreadPoolExecutor& swing_worker_pool() {
-  static exec::ThreadPoolExecutor pool("swingworker-pool",
-                                       kSwingWorkerPoolThreads);
+exec::WorkStealingExecutor& swing_worker_pool() {
+  static exec::WorkStealingExecutor pool("swingworker-pool",
+                                         kSwingWorkerPoolThreads);
   return pool;
 }
 

@@ -20,7 +20,7 @@
 #include "event/event_loop.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
-#include "executor/thread_pool_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
 
 namespace evmp::baselines {
 
@@ -28,7 +28,7 @@ namespace evmp::baselines {
 inline constexpr std::size_t kSwingWorkerPoolThreads = 10;
 
 /// Shared SwingWorker pool (created on first use, like the JDK's).
-exec::ThreadPoolExecutor& swing_worker_pool();
+exec::WorkStealingExecutor& swing_worker_pool();
 
 /// Abstract asynchronous worker; subclass and override do_in_background(),
 /// process() and done(). Instances must be owned by std::shared_ptr

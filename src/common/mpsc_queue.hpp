@@ -3,11 +3,11 @@
 // node queue) over caller-owned nodes.
 //
 // The submission queues in front of the stealing pool's workers and the
-// reactor thread have many producers and, at any instant, one consumer.
-// A mutex-striped queue (ShardedMpmcQueue) pays a lock per push and per
-// probe, and it is FIFO only per shard: a later push can overtake an
-// earlier one that waits in another shard. This queue is one singly linked
-// list whose tail producers swap atomically:
+// event loop's thread have many producers and, at any instant, one
+// consumer. A mutex-striped queue pays a lock per push and per probe, and
+// it is FIFO only per stripe: a later push can overtake an earlier one
+// that waits in another stripe. This queue is one singly linked list whose
+// tail producers swap atomically:
 //
 //  * push is one `exchange` on the tail plus one store linking the old
 //    tail to the new node — lock-free, no CAS loop;

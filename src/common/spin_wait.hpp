@@ -1,7 +1,7 @@
 #pragma once
 // SpinWait: the one spin phase every idle path in the runtime runs before
-// it parks — stealing-pool and thread-pool workers, fork-join helpers,
-// joins and barriers, completion and tag waits, the reactor's poll loop.
+// it parks — stealing-pool workers, fork-join helpers, joins and
+// barriers, completion and tag waits, the event loop's poll window.
 //
 // Why a time window and not a step count. On a multi-core host the cheap
 // hand-off is to a consumer that is still awake: a futex or eventfd wake

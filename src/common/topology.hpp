@@ -103,7 +103,7 @@ class Topology {
   /// std::thread::hardware_concurrency() reports — under `taskset -c 0`
   /// this is 1. Read once, at program start (before any worker pins
   /// itself); at least 1. Every single-core guard in the runtime (spin
-  /// windows, default shard and team counts, the width governor's core
+  /// windows, default team counts, the width governor's core
   /// budget) uses this count.
   static int usable_cpus() noexcept;
 

@@ -63,8 +63,8 @@ class Tracer {
   void set_capacity(std::size_t cap);
 
   // --- named counters -----------------------------------------------------
-  // Executors publish their run-queue statistics here (posts, batched
-  // posts, steals, shard collisions, max depth ...) keyed by
+  // Executors publish their run-queue statistics here (batched posts,
+  // local pops, steals, injection pops and collisions ...) keyed by
   // "<executor>.<counter>". Unlike spans, counters are collected even while
   // span tracing is disabled: they are set at executor shutdown, not on the
   // hot path, and the figure benches print them after each sweep.

@@ -36,30 +36,10 @@ void Runtime::register_edt(std::string tname, event::EventLoop& loop) {
   targets_[std::move(tname)] = TargetEntry{&loop, nullptr};
 }
 
-exec::ThreadPoolExecutor& Runtime::create_worker(std::string tname, int m) {
-  auto pool = std::make_shared<exec::ThreadPoolExecutor>(
-      tname, static_cast<std::size_t>(m < 1 ? 1 : m));
-  exec::ThreadPoolExecutor& ref = *pool;
-  std::scoped_lock lk(mu_);
-  targets_[std::move(tname)] = TargetEntry{pool.get(), pool};
-  return ref;
-}
-
-exec::WorkStealingExecutor& Runtime::create_stealing_worker(std::string tname,
-                                                            int m) {
+exec::WorkStealingExecutor& Runtime::create_worker(std::string tname, int m) {
   auto pool = std::make_shared<exec::WorkStealingExecutor>(
       tname, static_cast<std::size_t>(m < 1 ? 1 : m));
   exec::WorkStealingExecutor& ref = *pool;
-  std::scoped_lock lk(mu_);
-  targets_[std::move(tname)] = TargetEntry{pool.get(), pool};
-  return ref;
-}
-
-exec::LockedWorkStealingExecutor& Runtime::create_locked_stealing_worker(
-    std::string tname, int m) {
-  auto pool = std::make_shared<exec::LockedWorkStealingExecutor>(
-      tname, static_cast<std::size_t>(m < 1 ? 1 : m));
-  exec::LockedWorkStealingExecutor& ref = *pool;
   std::scoped_lock lk(mu_);
   targets_[std::move(tname)] = TargetEntry{pool.get(), pool};
   return ref;

@@ -21,7 +21,8 @@
 // executor + flag + user capture) fits exec::Task's inline buffer, the
 // completion state comes from a thread-cached pool, and the per-mode
 // counters are relaxed atomics. Steady-state, a nowait dispatch performs no
-// heap allocation and takes no lock other than the target's queue shard.
+// heap allocation and takes no queue lock (resolve() still takes the
+// registry mutex).
 
 #include <atomic>
 #include <cstdint>
@@ -41,9 +42,7 @@
 #include "event/event_loop.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
-#include "executor/locked_work_stealing_executor.hpp"
 #include "executor/simulated_device.hpp"
-#include "executor/thread_pool_executor.hpp"
 #include "executor/work_stealing_executor.hpp"
 
 namespace evmp {
@@ -84,24 +83,17 @@ class Runtime {
   /// becomes the target; here the loop object carries that thread.
   void register_edt(std::string tname, event::EventLoop& loop);
 
-  /// Create a worker-type virtual target: a thread pool with at most `m`
-  /// threads, named `tname`. Mirrors virtual_target_create_worker(tname, m).
-  /// Returns the backing executor (owned by the runtime).
-  exec::ThreadPoolExecutor& create_worker(std::string tname, int m);
+  /// Create a worker-type virtual target: a work-stealing pool of `m`
+  /// threads (at least one), named `tname`. Mirrors
+  /// virtual_target_create_worker(tname, m). Returns the backing executor
+  /// (owned by the runtime).
+  exec::WorkStealingExecutor& create_worker(std::string tname, int m);
 
-  /// Create a worker-type virtual target backed by the lock-free
-  /// work-stealing pool instead of the central queue (scalability
-  /// extension; see bench_ablation_pool). Semantically interchangeable
-  /// with create_worker.
+  /// Synonym of create_worker.
   exec::WorkStealingExecutor& create_stealing_worker(std::string tname,
-                                                     int m);
-
-  /// Create a worker-type virtual target backed by the mutex-per-deque
-  /// stealing pool — the ablation baseline the lock-free pool is measured
-  /// against (bench_steal_throughput, bench_ablation_pool). Semantically
-  /// interchangeable with create_stealing_worker.
-  exec::LockedWorkStealingExecutor& create_locked_stealing_worker(
-      std::string tname, int m);
+                                                     int m) {
+    return create_worker(std::move(tname), m);
+  }
 
   /// Create a simulated accelerator reachable as device(`id`). Fallback
   /// for the original `target device(n)` form on GPU-less hosts.
@@ -169,8 +161,8 @@ class Runtime {
   }
 
   /// Batched Algorithm 1: dispatch a burst of target blocks to one virtual
-  /// target as a single submission — queue-backed executors take their
-  /// shard lock once and wake consumers once for the whole burst (see
+  /// target as a single submission — queue-backed executors link the
+  /// burst with one exchange and wake consumers once (see
   /// Executor::post_batch). Returns one handle per block, in submission
   /// order. Per-block semantics match invoke_target_block: kNowait /
   /// kNameAs return immediately (tag joins via wait_tag as usual); kAwait

@@ -61,7 +61,7 @@ class TargetRef {
 
   // --- batched forms ------------------------------------------------------
   // A burst of target blocks submitted as one operation: the backing
-  // executor takes its shard lock once and wakes workers once (see
+  // executor links the burst once and wakes workers once (see
   // Runtime::invoke_target_batch). One handle per block, in order.
 
   /// nowait burst: fire-and-forget the whole batch.

@@ -63,18 +63,10 @@ void EventLoop::start() {
 }
 
 void EventLoop::stop() {
-  if ((gate_.fetch_or(kGateClosed, std::memory_order_acq_rel) &
-       kGateClosed) == 0) {
-    // Close the gate first: posts are refused from here on. Then wait out
-    // the producers admitted before the close — each holds its share
-    // until its push is linked and its wake written. Every later write to
-    // gate_ is an RMW, so the acquire load that sees no shares
-    // synchronises with all their releases, and the store below hands
-    // that on to the loop: its final drain sees every admitted task, none
-    // of them half-linked.
-    while (gate_.load(std::memory_order_acquire) != kGateClosed) {
-      std::this_thread::yield();
-    }
+  // Posts are refused from here on, and every one admitted before is
+  // fully linked once close() returns; the store below hands that on to
+  // the loop, so its final drain sees each of them.
+  if (gate_.close()) {
     stop_requested_.store(true, std::memory_order_release);
     wake();
     auto& tracer = common::Tracer::instance();
@@ -89,19 +81,6 @@ void EventLoop::stop() {
   }
 }
 
-bool EventLoop::admit() noexcept {
-  if ((gate_.fetch_add(kGateShare, std::memory_order_acquire) &
-       kGateClosed) == 0) {
-    return true;
-  }
-  gate_.fetch_sub(kGateShare, std::memory_order_release);
-  return false;
-}
-
-void EventLoop::leave() noexcept {
-  gate_.fetch_sub(kGateShare, std::memory_order_release);
-}
-
 void EventLoop::post(exec::Task task) {
   if (!try_post(std::move(task))) {
     EVMP_LOG_WARN << "event posted to stopped loop '" << name()
@@ -110,18 +89,18 @@ void EventLoop::post(exec::Task task) {
 }
 
 bool EventLoop::try_post(exec::Task task) {
-  if (!admit()) return false;
+  if (!gate_.enter()) return false;
   exec::TaskNode* node = exec::make_task_node(std::move(task));
   node->posted = common::now();
   tasks_.push(node);
   wake();  // after the push returned: the node is linked
-  leave();
+  gate_.leave();
   return true;
 }
 
 void EventLoop::post_batch(std::span<exec::Task> tasks) {
   if (tasks.empty()) return;
-  if (!admit()) {
+  if (!gate_.enter()) {
     EVMP_LOG_WARN << "batch of " << tasks.size() << " events posted to "
                   << "stopped loop '" << name() << "' was dropped";
     return;
@@ -136,7 +115,7 @@ void EventLoop::post_batch(std::span<exec::Task> tasks) {
   }
   tasks_.push_chain(chain.first, chain.last);
   wake();
-  leave();
+  gate_.leave();
   batch_posts_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -162,7 +141,7 @@ void EventLoop::wait_until_idle() {
   // it, and the loop is idle when it runs at top level (no handler below
   // it on the stack) and finds nothing queued behind it.
   for (;;) {
-    if (!admit()) return;  // stopped: nothing more will run
+    if (!gate_.enter()) return;  // stopped: nothing more will run
     exec::CompletionRef state = exec::CompletionState::make();
     bool idle = false;
     exec::TaskNode* node = exec::make_task_node(exec::Task([&, state] {
@@ -172,7 +151,7 @@ void EventLoop::wait_until_idle() {
     node->posted = kProbe;
     tasks_.push(node);
     wake();
-    leave();
+    gate_.leave();
     state->wait();
     if (idle) return;
   }

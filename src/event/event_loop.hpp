@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/admission_gate.hpp"
 #include "common/clock.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/stats.hpp"
@@ -236,22 +237,14 @@ class EventLoop final : public exec::Executor {
   int wait_for_events(epoll_event* events, int max_events);
   /// Write the eventfd if the loop is parked (after a push or stop).
   void wake();
-  /// Take a producer share of gate_; false once stop() has begun.
-  bool admit() noexcept;
-  /// Drop the share; call after the push *and* its wake().
-  void leave() noexcept;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd; level-triggered member of the epoll set
 
   common::MpscQueue<exec::TaskNode> tasks_;
-  // Admission gate: bit 0 = closed by stop(); the rest counts producers
-  // between admission and the end of their wake (kGateShare each). stop()
-  // closes it and waits for the count to drain before telling the loop
-  // to exit, so the final drain sees every admitted push fully linked.
-  static constexpr std::uint64_t kGateClosed = 1;
-  static constexpr std::uint64_t kGateShare = 2;
-  alignas(64) std::atomic<std::uint64_t> gate_{0};
+  // Stop protocol: producers hold a share from admission until their push
+  // is linked and its wake written; stop() closes and waits them out.
+  common::AdmissionGate gate_;
   // True while the loop is (about to be) blocked in epoll_wait; only
   // then do producers write the eventfd (see wake()).
   alignas(64) std::atomic<bool> parked_{false};

@@ -4,8 +4,25 @@ namespace evmp::exec {
 
 SimulatedDeviceExecutor::SimulatedDeviceExecutor(std::string device_name,
                                                  int device_id, Config cfg)
-    : SerialExecutor(std::move(device_name)), device_id_(device_id),
+    : WorkStealingExecutor(std::move(device_name), 1), device_id_(device_id),
       cfg_(cfg) {}
+
+SimulatedDeviceExecutor::~SimulatedDeviceExecutor() { shutdown(); }
+
+void SimulatedDeviceExecutor::post(Task task) {
+  WorkStealingExecutor::post(launch(std::move(task)));
+}
+
+bool SimulatedDeviceExecutor::try_post(Task task) {
+  return WorkStealingExecutor::try_post(launch(std::move(task)));
+}
+
+void SimulatedDeviceExecutor::post_batch(std::span<Task> tasks) {
+  for (Task& task : tasks) {
+    task = launch(std::move(task));
+  }
+  WorkStealingExecutor::post_batch(tasks);
+}
 
 void SimulatedDeviceExecutor::sleep_for_bytes(std::uint64_t bytes) const {
   const double secs = static_cast<double>(bytes) / cfg_.bandwidth_bytes_per_sec;
@@ -22,10 +39,12 @@ void SimulatedDeviceExecutor::transfer_from_device(std::uint64_t bytes) {
   from_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-void SimulatedDeviceExecutor::execute(Task& task) {
-  common::precise_sleep(cfg_.launch_latency);
-  launches_.fetch_add(1, std::memory_order_relaxed);
-  SerialExecutor::execute(task);
+Task SimulatedDeviceExecutor::launch(Task block) {
+  return Task([this, block = std::move(block)]() mutable {
+    common::precise_sleep(cfg_.launch_latency);
+    launches_.fetch_add(1, std::memory_order_relaxed);
+    block();
+  });
 }
 
 }  // namespace evmp::exec

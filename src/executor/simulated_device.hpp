@@ -3,8 +3,8 @@
 //
 // The paper's extension is "inspired by the Accelerator Model" of OpenMP 4.0:
 // `target device(n)` offloads to a physical accelerator with its own memory.
-// This container has no GPU, so `device(n)` targets map to this executor — a
-// dedicated device thread plus an explicit transfer-cost model, preserving
+// On a GPU-less host `device(n)` targets map to this executor — a one-thread
+// pool (the device thread) plus an explicit transfer-cost model, preserving
 // the part of the semantics the paper contrasts against (separate execution
 // context, data movement has a cost) without real hardware.
 
@@ -12,13 +12,14 @@
 #include <cstdint>
 
 #include "common/clock.hpp"
-#include "executor/serial_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
 
 namespace evmp::exec {
 
 /// Single-threaded "device" with kernel-launch latency and a bandwidth model
-/// for map(to:)/map(from:) transfers.
-class SimulatedDeviceExecutor final : public SerialExecutor {
+/// for map(to:)/map(from:) transfers. Every submission path wraps its block
+/// with the launch cost, paid by whichever thread runs the block.
+class SimulatedDeviceExecutor final : public WorkStealingExecutor {
  public:
   struct Config {
     /// Fixed cost added before each offloaded block (kernel launch).
@@ -30,6 +31,12 @@ class SimulatedDeviceExecutor final : public SerialExecutor {
   SimulatedDeviceExecutor(std::string name, int device_id, Config cfg);
   SimulatedDeviceExecutor(std::string name, int device_id)
       : SimulatedDeviceExecutor(std::move(name), device_id, Config{}) {}
+  /// Joins the device thread while the launch model is still alive.
+  ~SimulatedDeviceExecutor() override;
+
+  void post(Task task) override;
+  bool try_post(Task task) override;
+  void post_batch(std::span<Task> tasks) override;
 
   [[nodiscard]] int device_id() const noexcept { return device_id_; }
 
@@ -50,10 +57,10 @@ class SimulatedDeviceExecutor final : public SerialExecutor {
     return launches_.load(std::memory_order_relaxed);
   }
 
- protected:
-  void execute(Task& task) override;
-
  private:
+  /// The block behind a kernel launch: sleep the launch latency, count the
+  /// launch, run.
+  Task launch(Task block);
   void sleep_for_bytes(std::uint64_t bytes) const;
 
   const int device_id_;

@@ -55,35 +55,50 @@ int WorkStealingExecutor::current_worker_index() const noexcept {
 }
 
 void WorkStealingExecutor::post(Task task) {
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (!submit(std::move(task))) {
     EVMP_LOG_WARN << "task posted to shut-down stealing pool '" << name()
                   << "' was dropped";
-    return;
   }
-  TaskNode* node = make_task_node(std::move(task));
+}
+
+bool WorkStealingExecutor::try_post(Task task) {
+  return submit(std::move(task));
+}
+
+bool WorkStealingExecutor::submit(Task task) {
   const int self = current_worker_index();
   if (self >= 0) {
     // Own deque, LIFO end: no lock, no RMW — slot store + release fence.
-    workers_[static_cast<std::size_t>(self)]->deque.push_bottom(node);
-  } else {
-    // Foreign threads may not touch a Chase–Lev bottom; inject instead.
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    injection_.push(node);
+    // No gate either: this worker pops its deque before it exits.
+    if (stopping_.load(std::memory_order_acquire)) return false;
+    workers_[static_cast<std::size_t>(self)]->deque.push_bottom(
+        make_task_node(std::move(task)));
+    idle_.notify_one();
+    return true;
   }
+  // Foreign threads may not touch a Chase–Lev bottom; inject instead,
+  // holding a gate share until the node is linked and announced.
+  if (!gate_.enter()) return false;
+  injected_.fetch_add(1, std::memory_order_relaxed);
+  injection_.push(make_task_node(std::move(task)));
   // After the push returned, so the node is linked: a worker that found
   // the list cut at this node is re-run by this notify (see worker_main).
   idle_.notify_one();
+  gate_.leave();
+  return true;
 }
 
 void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
   if (tasks.empty()) return;
-  if (stopping_.load(std::memory_order_acquire)) {
+  const int self = current_worker_index();
+  const bool admitted =
+      self >= 0 ? !stopping_.load(std::memory_order_acquire) : gate_.enter();
+  if (!admitted) {
     EVMP_LOG_WARN << "batch of " << tasks.size()
                   << " tasks posted to shut-down stealing pool '" << name()
                   << "' was dropped";
     return;
   }
-  const int self = current_worker_index();
   if (self >= 0) {
     // Own deque: append in order behind existing work, like N posts.
     auto& deque = workers_[static_cast<std::size_t>(self)]->deque;
@@ -99,6 +114,7 @@ void WorkStealingExecutor::post_batch(std::span<Task> tasks) {
   }
   batch_posts_.fetch_add(1, std::memory_order_relaxed);
   idle_.notify_all();  // a batch may satisfy many parked workers
+  if (self < 0) gate_.leave();
 }
 
 bool WorkStealingExecutor::take_node(int self, TaskNode*& out) {
@@ -167,6 +183,7 @@ WorkStealingExecutor::Injection WorkStealingExecutor::take_injected(
     TaskNode*& out) {
   if (injection_busy_.load(std::memory_order_relaxed) ||
       injection_busy_.exchange(true, std::memory_order_acquire)) {
+    injection_collisions_.fetch_add(1, std::memory_order_relaxed);
     return Injection::kBusy;
   }
   // Acquire/release on the try-lock hands the queue's head from one
@@ -205,16 +222,30 @@ std::size_t WorkStealingExecutor::pending() const {
   return total;
 }
 
+PoolQueueStats WorkStealingExecutor::queue_stats() const {
+  // Accepted = taken (local pops, steals, injection pops) + still queued
+  // (deques, injected-but-not-taken): no extra RMW on the post path.
+  std::uint64_t pushes = local_pops_.load(std::memory_order_relaxed) +
+                         steals_.load(std::memory_order_relaxed) +
+                         injected_.load(std::memory_order_relaxed);
+  for (const auto& w : workers_) {
+    pushes += w->deque.size();
+  }
+  return {pushes, injection_collisions_.load(std::memory_order_relaxed), 0};
+}
+
 void WorkStealingExecutor::shutdown() {
-  if (shut_down_.exchange(true)) return;
+  // Refuse foreign posts and wait out the admitted ones: once close()
+  // returns every accepted node is linked, and the workers drain it
+  // before they exit.
+  if (!gate_.close()) return;
   stopping_.store(true, std::memory_order_release);
   idle_.notify_all();
   threads_.clear();  // jthread joins; workers drain before exiting
 
-  // A post() racing shutdown may have slipped a node in after its worker's
-  // final scan; drain stragglers on this thread so nothing is stranded. A
-  // non-empty queue that yields nothing is a push still linking: wait it
-  // out rather than leave its node behind.
+  // A foreign try_run_one() holding the injection try-lock can make the
+  // last worker give up while nodes remain queued; drain them here. A
+  // non-empty queue that yields nothing is such a holder: wait it out.
   TaskNode* node = nullptr;
   for (;;) {
     if (take_node(-1, node)) {
@@ -241,6 +272,8 @@ void WorkStealingExecutor::shutdown() {
   }
   tracer.set_counter(prefix + ".injection_pops",
                      injection_pops_.load(std::memory_order_relaxed));
+  tracer.set_counter(prefix + ".injection_collisions",
+                     injection_collisions_.load(std::memory_order_relaxed));
   tracer.set_counter(prefix + ".batch_posts",
                      batch_posts_.load(std::memory_order_relaxed));
 }

@@ -1,11 +1,9 @@
 #pragma once
-// Lock-free work-stealing thread pool: the default backing for worker
-// virtual targets. The paper's central-queue executor (ThreadPoolExecutor)
-// serialises all submissions through one lock; the previous stealing pool
-// (kept as LockedWorkStealingExecutor for the ablation) removed the global
-// lock but still paid a per-worker std::mutex on every deque operation and
-// woke idlers through one polled condition variable. This version removes
-// both taxes:
+// Lock-free work-stealing thread pool: the one multi-thread pool, backing
+// every worker virtual target (Runtime::create_worker), the baselines'
+// fixed pools and, with one thread, the simulated device. Where a central
+// queue serialises every submission through one lock, this pool keeps
+// the hot paths lock-free:
 //
 //  * each worker owns a common::ChaseLevDeque<TaskNode*> — owner push/pop
 //    are fence-only (no RMW in the common case), thieves pay one CAS per
@@ -38,9 +36,14 @@
 // advisory: where sched_setaffinity is unavailable or refused the workers
 // simply run unpinned (pinned_workers() reports how many stuck).
 //
-// bench_steal_throughput and bench_ablation_pool quantify the gap against
-// LockedWorkStealingExecutor; DESIGN.md §9 documents the memory-ordering
-// and parking arguments, §11 the victim ordering and pinning semantics.
+// Stop protocol: foreign posts pass a common::AdmissionGate, so shutdown()
+// waits out every post it did not refuse and then drains it — a post is
+// run or refused (try_post() says which), never lost. A worker's post to
+// its own deque needs no gate: its owner pops it before exiting.
+//
+// bench_steal_throughput measures the steal path and its allocation
+// budget; DESIGN.md §9 documents the memory-ordering and parking
+// arguments, §11 the victim ordering and pinning semantics.
 
 #include <atomic>
 #include <cstdint>
@@ -48,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/admission_gate.hpp"
 #include "common/chase_lev_deque.hpp"
 #include "common/event_count.hpp"
 #include "common/mpsc_queue.hpp"
@@ -57,10 +61,19 @@
 
 namespace evmp::exec {
 
+/// Submission counters in the shape the benchmark harness reads
+/// (queue_stats()).
+struct PoolQueueStats {
+  std::uint64_t pushes = 0;      ///< tasks accepted (posted or batched)
+  std::uint64_t collisions = 0;  ///< injection consumer try-lock losses
+  std::uint64_t max_depth = 0;   ///< not tracked by this pool: always 0
+};
+
 /// Fixed-size pool with per-worker lock-free Chase–Lev deques, an MPSC
 /// injection queue for foreign submissions, topology-ordered stealing and
-/// event-count parking.
-class WorkStealingExecutor final : public Executor {
+/// event-count parking. Not final: the simulated device wraps its
+/// submissions.
+class WorkStealingExecutor : public Executor {
  public:
   /// Builds victim orders from the process topology
   /// (common::Topology::instance()) and honours EVMP_PIN.
@@ -72,6 +85,9 @@ class WorkStealingExecutor final : public Executor {
   ~WorkStealingExecutor() override;
 
   void post(Task task) override;
+  /// As post(), but says whether the task was accepted: false (task
+  /// destroyed unrun) once shutdown() has begun.
+  bool try_post(Task task) override;
   /// Admit a burst: a worker thread appends to its own deque in order (the
   /// same state as N posts); a foreign thread links the whole batch into
   /// the injection queue with one exchange and one wakeup, preserving FIFO
@@ -108,6 +124,10 @@ class WorkStealingExecutor final : public Executor {
   [[nodiscard]] std::uint64_t injection_pops() const noexcept {
     return injection_pops_.load(std::memory_order_relaxed);
   }
+  /// Accepted tasks (taken plus still queued, so a snapshot under
+  /// concurrent posts) and the times a thread found the injection
+  /// queue's consumer try-lock taken.
+  [[nodiscard]] PoolQueueStats queue_stats() const;
   /// post_batch() calls accepted.
   [[nodiscard]] std::uint64_t batch_posts() const noexcept {
     return batch_posts_.load(std::memory_order_relaxed);
@@ -146,6 +166,9 @@ class WorkStealingExecutor final : public Executor {
   /// a lost CAS race. `self` < 0 means a foreign caller (injection +
   /// rotating uniform steal only).
   bool take_node(int self, TaskNode*& out);
+  /// Queue a task (own deque on a worker, injection otherwise); false
+  /// when shutdown() refused it. Shared by post() and try_post().
+  bool submit(Task task);
   enum class Injection { kTaken, kEmpty, kBusy };
   /// Pop the injection queue as its consumer of the moment: kBusy when
   /// another thread holds the consumer try-lock, kEmpty when nothing is
@@ -166,16 +189,27 @@ class WorkStealingExecutor final : public Executor {
   alignas(64) std::atomic<std::uint64_t> injected_{0};
   common::EventCount idle_;
   bool pin_workers_ = false;
+  common::AdmissionGate gate_;
+  // Set once gate_ is closed and drained: workers exit when they find no
+  // work after seeing it.
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> shut_down_{false};
   std::atomic<std::uint64_t> next_victim_{0};
   std::atomic<std::uint64_t> local_pops_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> near_steals_{0};
   std::atomic<std::uint64_t> injection_pops_{0};
+  std::atomic<std::uint64_t> injection_collisions_{0};
   std::atomic<std::uint64_t> batch_posts_{0};
   std::atomic<std::uint64_t> pinned_workers_{0};
   std::vector<std::jthread> threads_;  // last: start after queues exist
 };
 
+// Named by evbench; the harness change (ROADMAP item 2) removes it.
+using ThreadPoolExecutor = WorkStealingExecutor;
+
 }  // namespace evmp::exec
+
+namespace evmp::common {
+// Named by evbench; the harness change (ROADMAP item 2) removes it.
+using ShardedQueueStats = exec::PoolQueueStats;
+}  // namespace evmp::common

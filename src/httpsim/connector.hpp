@@ -16,7 +16,7 @@
 
 #include "core/runtime.hpp"
 #include "event/event_loop.hpp"
-#include "executor/thread_pool_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
 #include "httpsim/request.hpp"
 
 namespace evmp::http {
@@ -32,7 +32,7 @@ class Connector {
 
   /// Accept a burst of pipelined requests from one client; `on_done` fires
   /// once per request. Connectors that can, admit the whole burst into
-  /// their run queue under a single lock (Executor::post_batch); the
+  /// their run queue in one operation (Executor::post_batch); the
   /// default degrades to per-request submit(). Thread-safe.
   virtual void submit_batch(std::vector<Request> requests,
                             ResponseCallback on_done) {
@@ -54,7 +54,7 @@ class JettyConnector final : public Connector {
   JettyConnector(int worker_threads, RequestHandler handler);
 
   void submit(Request request, ResponseCallback on_done) override;
-  /// One pool-queue lock + one wakeup for the whole burst.
+  /// One injection-queue exchange + one wakeup for the whole burst.
   void submit_batch(std::vector<Request> requests,
                     ResponseCallback on_done) override;
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -66,7 +66,7 @@ class JettyConnector final : public Connector {
 
  private:
   RequestHandler handler_;
-  exec::ThreadPoolExecutor pool_;
+  exec::WorkStealingExecutor pool_;
 };
 
 /// Dispatcher + virtual-target connector (the Pyjama model). Owns a private
@@ -78,7 +78,7 @@ class PyjamaConnector final : public Connector {
 
   void submit(Request request, ResponseCallback on_done) override;
   /// One dispatcher event for the whole burst; the dispatcher offloads it
-  /// to the worker target as a single nowait batch (one shard lock, one
+  /// to the worker target as a single nowait batch (one exchange, one
   /// wakeup) instead of per-request posts.
   void submit_batch(std::vector<Request> requests,
                     ResponseCallback on_done) override;

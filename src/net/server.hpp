@@ -88,8 +88,9 @@ class Server {
     std::size_t high_watermark = 4096;
     std::size_t low_watermark = 3072;
     /// Bound on the target executor's queued-task depth at admission time
-    /// (0 = off). This is the backpressure seam onto the sharded
-    /// injection queues: depth beyond the bound sheds instead of queueing.
+    /// (0 = off), read through the target's pending(). This is the
+    /// backpressure seam onto the target's run queue: depth beyond the
+    /// bound sheds instead of queueing.
     std::size_t max_target_depth = 0;
     /// Connection-table bound (0 = off). At the bound the accept gate
     /// closes until a connection dies.

@@ -1,17 +1,12 @@
-// Unit tests for common/queue (MpmcQueue), common/sharded_queue
-// (ShardedMpmcQueue), common/mpsc_queue (MpscQueue) and common/sync
-// primitives.
+// Unit tests for common/mpsc_queue (MpscQueue) and common/sync primitives.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/mpsc_queue.hpp"
-#include "common/queue.hpp"
-#include "common/sharded_queue.hpp"
 #include "common/sync.hpp"
 
 namespace evmp::common {
@@ -26,314 +21,6 @@ struct MpscQueueTestAccess {
 };
 
 namespace {
-
-TEST(MpmcQueue, FifoOrder) {
-  MpmcQueue<int> q;
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 10; ++i) {
-    auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpmcQueue, PushFrontJumpsTheLine) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push_front(0);
-  EXPECT_EQ(*q.try_pop(), 0);
-  EXPECT_EQ(*q.try_pop(), 1);
-}
-
-TEST(MpmcQueue, PopBlocksUntilPush) {
-  MpmcQueue<int> q;
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-    q.push(42);
-  });
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 42);
-}
-
-TEST(MpmcQueue, CloseWakesBlockedConsumers) {
-  MpmcQueue<int> q;
-  std::atomic<int> woke{0};
-  {
-    std::vector<std::jthread> consumers;
-    for (int i = 0; i < 3; ++i) {
-      consumers.emplace_back([&] {
-        auto v = q.pop();
-        EXPECT_FALSE(v.has_value());
-        woke.fetch_add(1);
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.close();
-  }
-  EXPECT_EQ(woke.load(), 3);
-}
-
-TEST(MpmcQueue, CloseDrainsRemainingItems) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(3));  // refused
-  EXPECT_EQ(*q.pop(), 1);   // still poppable
-  EXPECT_EQ(*q.pop(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(MpmcQueue, PopForTimesOut) {
-  MpmcQueue<int> q;
-  const auto v = q.pop_for(std::chrono::milliseconds{5});
-  EXPECT_FALSE(v.has_value());
-}
-
-TEST(MpmcQueue, PopForReturnsItemWithinTimeout) {
-  MpmcQueue<int> q;
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.push(7);
-  });
-  const auto v = q.pop_for(std::chrono::seconds{5});
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
-TEST(MpmcQueue, MoveOnlyPayload) {
-  MpmcQueue<std::unique_ptr<int>> q;
-  q.push(std::make_unique<int>(5));
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 5);
-}
-
-TEST(MpmcQueue, StressEveryItemDeliveredOnce) {
-  MpmcQueue<int> q;
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 5000;
-  std::mutex seen_mu;
-  std::multiset<int> seen;
-  {
-    std::vector<std::jthread> threads;
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        while (auto v = q.pop()) {
-          std::scoped_lock lk(seen_mu);
-          seen.insert(*v);
-        }
-      });
-    }
-    {
-      std::vector<std::jthread> producers;
-      for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-          for (int i = 0; i < kPerProducer; ++i) {
-            q.push(p * kPerProducer + i);
-          }
-        });
-      }
-    }
-    q.close();
-  }
-  EXPECT_EQ(seen.size(),
-            static_cast<std::size_t>(kProducers) * kPerProducer);
-  // Every value exactly once.
-  for (int p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(seen.count(p * kPerProducer), 1u);
-    EXPECT_EQ(seen.count(p * kPerProducer + kPerProducer - 1), 1u);
-  }
-}
-
-// --- ShardedMpmcQueue ------------------------------------------------------
-
-TEST(ShardedMpmcQueue, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(ShardedMpmcQueue<int>(1).shard_count(), 1u);
-  EXPECT_EQ(ShardedMpmcQueue<int>(3).shard_count(), 4u);
-  EXPECT_EQ(ShardedMpmcQueue<int>(8).shard_count(), 8u);
-}
-
-TEST(ShardedMpmcQueue, SingleProducerFifoOrder) {
-  // One producer always lands in its home shard, so a lone consumer sees
-  // strict FIFO — the per-shard (hence per-producer) ordering guarantee.
-  ShardedMpmcQueue<int> q(8);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 100; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(ShardedMpmcQueue, PerShardFifoWithExplicitShards) {
-  ShardedMpmcQueue<int> q(4);
-  // Interleave pushes into two shards; each shard must stay FIFO.
-  q.push_to(0, 1);
-  q.push_to(2, 100);
-  q.push_to(0, 2);
-  q.push_to(2, 200);
-  std::vector<int> shard0, shard2;
-  for (int i = 0; i < 4; ++i) {
-    auto v = q.try_pop(0);
-    ASSERT_TRUE(v.has_value());
-    (*v < 100 ? shard0 : shard2).push_back(*v);
-  }
-  EXPECT_EQ(shard0, (std::vector<int>{1, 2}));
-  EXPECT_EQ(shard2, (std::vector<int>{100, 200}));
-}
-
-TEST(ShardedMpmcQueue, PopPullsFromSiblingShards) {
-  ShardedMpmcQueue<int> q(4);
-  q.push_to(3, 7);  // consumer's home shard 0 is empty
-  auto v = q.pop(0);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  EXPECT_GE(q.stats().steals, 1u);
-}
-
-TEST(ShardedMpmcQueue, BatchEquivalentToIndividualPushes) {
-  // push_batch must deliver exactly the items N pushes would, in the same
-  // (single-producer) order.
-  ShardedMpmcQueue<int> q(4);
-  std::vector<int> batch{0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(q.push_batch(batch), 8u);
-  EXPECT_EQ(q.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  const auto s = q.stats();
-  EXPECT_EQ(s.batch_pushes, 1u);
-  EXPECT_EQ(s.batch_items, 8u);
-  EXPECT_EQ(s.pops, 8u);
-}
-
-TEST(ShardedMpmcQueue, BatchOfMoveOnlyPayload) {
-  ShardedMpmcQueue<std::unique_ptr<int>> q(2);
-  std::vector<std::unique_ptr<int>> batch;
-  batch.push_back(std::make_unique<int>(1));
-  batch.push_back(std::make_unique<int>(2));
-  EXPECT_EQ(q.push_batch(batch), 2u);
-  EXPECT_EQ(**q.pop(), 1);
-  EXPECT_EQ(**q.pop(), 2);
-}
-
-TEST(ShardedMpmcQueue, CloseRefusesPushAndWholeBatches) {
-  ShardedMpmcQueue<int> q(4);
-  q.push(1);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(2));
-  std::vector<int> batch{3, 4, 5};
-  // close-while-batching contract: the batch is refused atomically — no
-  // partial admission.
-  EXPECT_EQ(q.push_batch(batch), 0u);
-  EXPECT_EQ(*q.pop(), 1);  // pre-close item still drains
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(ShardedMpmcQueue, CloseWakesBlockedConsumers) {
-  ShardedMpmcQueue<int> q(4);
-  std::atomic<int> woke{0};
-  {
-    std::vector<std::jthread> consumers;
-    for (int i = 0; i < 3; ++i) {
-      consumers.emplace_back([&] {
-        auto v = q.pop();
-        EXPECT_FALSE(v.has_value());
-        woke.fetch_add(1);
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.close();
-  }
-  EXPECT_EQ(woke.load(), 3);
-}
-
-TEST(ShardedMpmcQueue, PopBlocksUntilPush) {
-  ShardedMpmcQueue<int> q(4);
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-    q.push(42);
-  });
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 42);
-}
-
-TEST(ShardedMpmcQueue, PopForTimesOutAndDelivers) {
-  ShardedMpmcQueue<int> q(2);
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds{5}).has_value());
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.push(7);
-  });
-  const auto v = q.pop_for(std::chrono::seconds{5});
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
-TEST(ShardedMpmcQueue, StressEveryItemDeliveredOnce) {
-  // Multi-producer multi-consumer, mixed single and batched pushes, with a
-  // concurrent close after all producers joined: every item delivered
-  // exactly once, none stranded behind the shutdown.
-  ShardedMpmcQueue<int> q(4);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 4000;
-  std::mutex seen_mu;
-  std::multiset<int> seen;
-  {
-    std::vector<std::jthread> threads;
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&] {
-        while (auto v = q.pop()) {
-          std::scoped_lock lk(seen_mu);
-          seen.insert(*v);
-        }
-      });
-    }
-    {
-      std::vector<std::jthread> producers;
-      for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-          std::vector<int> batch;
-          for (int i = 0; i < kPerProducer; ++i) {
-            const int value = p * kPerProducer + i;
-            if (p % 2 == 0) {
-              q.push(value);
-            } else {
-              batch.push_back(value);
-              if (batch.size() == 16) {
-                q.push_batch(batch);
-                batch.clear();
-              }
-            }
-          }
-          if (!batch.empty()) q.push_batch(batch);
-        });
-      }
-    }
-    q.close();
-  }
-  ASSERT_EQ(seen.size(),
-            static_cast<std::size_t>(kProducers) * kPerProducer);
-  for (int v = 0; v < kProducers * kPerProducer; ++v) {
-    ASSERT_EQ(seen.count(v), 1u) << "value " << v;
-  }
-  const auto s = q.stats();
-  EXPECT_EQ(s.pops, static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_GT(s.batch_pushes, 0u);
-}
 
 struct MpscNode {
   int producer = -1;

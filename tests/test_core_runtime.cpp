@@ -524,7 +524,7 @@ TEST(RuntimeStandalone, GlobalRuntimeIsSingleton) {
 
 TEST(RuntimeStandalone, RegisterExecutorNonOwning) {
   Runtime runtime;
-  exec::ThreadPoolExecutor pool("ext", 1);
+  exec::WorkStealingExecutor pool("ext", 1);
   runtime.register_executor("ext", pool);
   std::atomic<bool> ran{false};
   runtime.invoke_target_block("ext", [&] { ran.store(true); },

@@ -1,7 +1,7 @@
 // Tests for the zero-allocation dispatch fast path: pooled completion
 // states (recycling, reuse after exception, no recycle under a live
-// waiter), the lock-free tag groups under producer stress, the RingBuffer
-// run-queue storage, and the non-template wait_for hot path.
+// waiter), the lock-free tag groups under producer stress, and the
+// non-template wait_for hot path.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +14,10 @@
 #include <vector>
 
 #include "common/object_pool.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/sync.hpp"
 #include "core/runtime.hpp"
 #include "core/tag_group.hpp"
 #include "executor/completion.hpp"
-#include "executor/thread_pool_executor.hpp"
 
 namespace evmp {
 namespace {
@@ -190,62 +188,6 @@ TEST(TagRegistry, ConcurrentDistinctTagsDoNotLoseGroups) {
   }
   EXPECT_EQ(reg.size(),
             static_cast<std::size_t>(kThreads) * kTagsPerThread);
-}
-
-// --- RingBuffer ----------------------------------------------------------
-
-TEST(RingBuffer, FifoAcrossGrowth) {
-  common::RingBuffer<int> rb;
-  for (int i = 0; i < 100; ++i) rb.push_back(i);
-  EXPECT_EQ(rb.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rb.pop_front(), i);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, DequeSemanticsBothEnds) {
-  common::RingBuffer<int> rb;
-  rb.push_back(2);
-  rb.push_front(1);
-  rb.push_back(3);
-  EXPECT_EQ(rb.pop_back(), 3);
-  EXPECT_EQ(rb.pop_front(), 1);
-  EXPECT_EQ(rb.pop_front(), 2);
-}
-
-TEST(RingBuffer, WrapAroundKeepsOrder) {
-  common::RingBuffer<int> rb;
-  // Force head to travel past the physical end repeatedly.
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 5; ++i) rb.push_back(round * 10 + i);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(rb.pop_front(), round * 10 + i);
-  }
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, CapacityRetainedAfterDrain) {
-  common::RingBuffer<int> rb;
-  for (int i = 0; i < 1000; ++i) rb.push_back(i);
-  const std::size_t high_water = rb.capacity();
-  while (!rb.empty()) rb.pop_front();
-  EXPECT_EQ(rb.capacity(), high_water);  // grow-only by design
-  rb.reserve(2048);
-  EXPECT_GE(rb.capacity(), 2048u);
-}
-
-TEST(RingBuffer, HoldsMoveOnlyElements) {
-  common::RingBuffer<std::unique_ptr<int>> rb;
-  for (int i = 0; i < 20; ++i) rb.push_back(std::make_unique<int>(i));
-  common::RingBuffer<std::unique_ptr<int>> other = std::move(rb);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(*other.pop_front(), i);
-}
-
-TEST(RingBuffer, ClearDestroysElements) {
-  auto live = std::make_shared<int>(0);
-  common::RingBuffer<std::shared_ptr<int>> rb;
-  for (int i = 0; i < 10; ++i) rb.push_back(live);
-  EXPECT_EQ(live.use_count(), 11);
-  rb.clear();
-  EXPECT_EQ(live.use_count(), 1);
 }
 
 // --- runtime stats on the new path ---------------------------------------

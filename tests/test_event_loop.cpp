@@ -17,7 +17,7 @@
 #include "core/runtime.hpp"
 #include "event/event_loop.hpp"
 #include "event/load.hpp"
-#include "executor/thread_pool_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
 
 namespace evmp::event {
 namespace {
@@ -581,11 +581,19 @@ TEST(EventLoop, DispatchDelayRecordedWhetherParkedOrSpinning) {
     ASSERT_TRUE(spin_until([&] { return ran.load() == target; },
                            std::chrono::seconds(5)));
   };
-  post_and_wait();
-  // Parked: wait for the park announced after that event, then post; the
+  // Parked: wait for the park announced after an event, then post; the
   // eventfd must wake the loop, and the event is timed like any other.
-  const std::uint64_t parks = loop.stats().parks;
-  ASSERT_TRUE(spin_until([&] { return loop.stats().parks > parks; },
+  // The event itself reads the park count: the loop cannot park while it
+  // runs, so the next park is the one after it (read afterwards, the
+  // count may already include that park, and none other would follow).
+  std::atomic<std::uint64_t> parks{0};
+  loop.post([&] {
+    parks.store(loop.stats().parks);
+    ran.fetch_add(1);
+  });
+  ASSERT_TRUE(spin_until([&] { return ran.load() == 1; },
+                         std::chrono::seconds(5)));
+  ASSERT_TRUE(spin_until([&] { return loop.stats().parks > parks.load(); },
                          std::chrono::seconds(5)));
   loop.reset_stats();
   const LoopStats parked = loop.stats();
@@ -639,7 +647,7 @@ TEST(OpenLoopDriver, AllRequestsComplete) {
 TEST(OpenLoopDriver, AsynchronousCompletionIsMeasured) {
   EventLoop loop;
   loop.start();
-  exec::ThreadPoolExecutor pool("w", 2);
+  exec::WorkStealingExecutor pool("w", 2);
   OpenLoopDriver::Options opt;
   opt.count = 10;
   opt.rate_hz = 1000.0;

@@ -1,7 +1,7 @@
 // Unit tests for the executor substrate: UniqueFunction, CompletionState /
-// TaskHandle, ThreadPoolExecutor, SerialExecutor, InlineExecutor and the
-// simulated accelerator device, plus the causal-FIFO guarantee of every
-// concurrency-1 executor (SerialExecutor, event::EventLoop).
+// TaskHandle and the simulated accelerator device, plus the causal-FIFO
+// guarantee of every concurrency-1 executor (a one-thread pool,
+// event::EventLoop). The pool itself is tested in test_work_stealing.cpp.
 
 #include <gtest/gtest.h>
 
@@ -9,21 +9,18 @@
 #include <chrono>
 #include <cstddef>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
-#include "common/spin_wait.hpp"
 #include "common/sync.hpp"
 #include "event/event_loop.hpp"
 #include "executor/completion.hpp"
 #include "executor/executor.hpp"
-#include "executor/inline_executor.hpp"
-#include "executor/serial_executor.hpp"
 #include "executor/simulated_device.hpp"
-#include "executor/thread_pool_executor.hpp"
 #include "executor/unique_function.hpp"
+#include "executor/work_stealing_executor.hpp"
 
 namespace evmp::exec {
 namespace {
@@ -166,272 +163,6 @@ TEST(TaskHandle, CrossThreadWait) {
   EXPECT_TRUE(h.done());
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPoolExecutor pool("p", 3);
-  std::atomic<int> count{0};
-  common::CountdownLatch latch(100);
-  for (int i = 0; i < 100; ++i) {
-    pool.post([&] {
-      count.fetch_add(1);
-      latch.count_down();
-    });
-  }
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.concurrency(), 3u);
-}
-
-TEST(ThreadPool, TasksExecuteOnMemberThreads) {
-  ThreadPoolExecutor pool("p", 2);
-  std::atomic<bool> member{false};
-  common::CountdownLatch latch(1);
-  pool.post([&] {
-    member.store(pool.owns_current_thread());
-    latch.count_down();
-  });
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
-  EXPECT_TRUE(member.load());
-  EXPECT_FALSE(pool.owns_current_thread());  // the test thread is foreign
-}
-
-TEST(ThreadPool, CurrentExecutorIsSetInsideTasks) {
-  ThreadPoolExecutor pool("p", 1);
-  Executor* observed = nullptr;
-  common::CountdownLatch latch(1);
-  pool.post([&] {
-    observed = Executor::current();
-    latch.count_down();
-  });
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
-  EXPECT_EQ(observed, &pool);
-  EXPECT_EQ(Executor::current(), nullptr);
-}
-
-TEST(ThreadPool, TryRunOneExecutesOnCaller) {
-  ThreadPoolExecutor pool("p", 1);
-  // Occupy the single worker so the queue backs up.
-  common::ManualResetEvent release;
-  common::CountdownLatch started(1);
-  pool.post([&] {
-    started.count_down();
-    release.wait();
-  });
-  ASSERT_TRUE(started.wait_for(std::chrono::seconds{5}));
-  std::atomic<bool> ran_on_caller{false};
-  const auto caller_id = std::this_thread::get_id();
-  pool.post([&] { ran_on_caller.store(std::this_thread::get_id() == caller_id); });
-  EXPECT_TRUE(pool.try_run_one());  // steals the queued task
-  EXPECT_TRUE(ran_on_caller.load());
-  EXPECT_FALSE(pool.try_run_one());  // queue empty now
-  release.set();
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPoolExecutor pool("p", 2);
-    for (int i = 0; i < 50; ++i) {
-      pool.post([&] { count.fetch_add(1); });
-    }
-    pool.shutdown();
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ShutdownDuringTheSpinWindowIsPrompt) {
-  // An idle worker stays awake polling the queue through the spin window
-  // before it parks on the condvar. shutdown() closes the queue; a worker
-  // still in its window must see the close by itself and exit, not wait
-  // for a wake it will never get. Sweep the shutdown across the window.
-  const auto window = common::SpinWait::window();
-  for (int round = 0; round < 60; ++round) {
-    ThreadPoolExecutor pool("p.window", 2);
-    std::atomic<bool> ran{false};
-    pool.post([&ran] { ran.store(true); });
-    while (!ran.load()) std::this_thread::yield();
-    const auto offset = window * (round % 12) / 10;
-    const auto until = std::chrono::steady_clock::now() + offset;
-    while (std::chrono::steady_clock::now() < until) {
-      std::this_thread::yield();  // a worker may share this CPU
-    }
-    const auto begin = std::chrono::steady_clock::now();
-    pool.shutdown();
-    EXPECT_LT(std::chrono::steady_clock::now() - begin,
-              std::chrono::seconds(1))
-        << "round " << round;
-  }
-}
-
-TEST(ThreadPool, PostAfterShutdownIsDropped) {
-  ThreadPoolExecutor pool("p", 1);
-  pool.shutdown();
-  std::atomic<bool> ran{false};
-  pool.post([&] { ran.store(true); });
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  EXPECT_FALSE(ran.load());
-}
-
-TEST(ThreadPool, ZeroThreadsClampedToOne) {
-  ThreadPoolExecutor pool("p", 0);
-  EXPECT_EQ(pool.concurrency(), 1u);
-}
-
-TEST(ThreadPool, TasksExecutedCounter) {
-  ThreadPoolExecutor pool("p", 2);
-  common::CountdownLatch latch(10);
-  for (int i = 0; i < 10; ++i) {
-    pool.post([&] { latch.count_down(); });
-  }
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
-  pool.shutdown();
-  EXPECT_EQ(pool.tasks_executed(), 10u);
-}
-
-TEST(ThreadPool, PostBatchRunsAllTasks) {
-  ThreadPoolExecutor pool("p", 3);
-  std::atomic<int> count{0};
-  common::CountdownLatch latch(64);
-  std::vector<Task> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.emplace_back([&] {
-      count.fetch_add(1);
-      latch.count_down();
-    });
-  }
-  pool.post_batch(tasks);
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{10}));
-  EXPECT_EQ(count.load(), 64);
-  const auto s = pool.queue_stats();
-  EXPECT_EQ(s.batch_pushes, 1u);
-  EXPECT_EQ(s.batch_items, 64u);
-}
-
-TEST(ThreadPool, PostBatchEquivalentToIndividualPosts) {
-  // Same observable effect as N posts from one producer: every task runs,
-  // in submission order on a single-thread pool.
-  ThreadPoolExecutor pool("p", 1);
-  std::vector<int> order;
-  common::CountdownLatch latch(20);
-  std::vector<Task> tasks;
-  for (int i = 0; i < 20; ++i) {
-    tasks.emplace_back([&, i] {
-      order.push_back(i);  // single worker: no race
-      latch.count_down();
-    });
-  }
-  pool.post_batch(tasks);
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
-  ASSERT_EQ(order.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  pool.shutdown();  // counter increments after the task body returns
-  EXPECT_EQ(pool.tasks_executed(), 20u);
-}
-
-TEST(ThreadPool, PostBatchAfterShutdownIsDropped) {
-  ThreadPoolExecutor pool("p", 1);
-  pool.shutdown();
-  std::atomic<bool> ran{false};
-  std::vector<Task> tasks;
-  tasks.emplace_back([&] { ran.store(true); });
-  pool.post_batch(tasks);
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  EXPECT_FALSE(ran.load());
-}
-
-TEST(ThreadPool, ShutdownDrainsBatchedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPoolExecutor pool("p", 2);
-    std::vector<Task> tasks;
-    for (int i = 0; i < 50; ++i) {
-      tasks.emplace_back([&] { count.fetch_add(1); });
-    }
-    pool.post_batch(tasks);
-    pool.shutdown();
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ManyProducersSpreadOverShards) {
-  ThreadPoolExecutor pool("p", 4);
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 200;
-  common::CountdownLatch latch(kProducers * kPerProducer);
-  {
-    std::vector<std::jthread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          pool.post([&] { latch.count_down(); });
-        }
-      });
-    }
-  }
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{30}));
-  pool.shutdown();
-  EXPECT_EQ(pool.tasks_executed(),
-            static_cast<std::uint64_t>(kProducers) * kPerProducer);
-}
-
-TEST(UnhandledHook, ReceivesFireAndForgetExceptions) {
-  static std::atomic<int> hook_hits{0};
-  hook_hits.store(0);  // the static outlives a --gtest_repeat pass
-  auto prev = unhandled_exception_hook();
-  set_unhandled_exception_hook(
-      [](std::string_view, std::exception_ptr) { hook_hits.fetch_add(1); });
-  {
-    ThreadPoolExecutor pool("p", 1);
-    pool.post([] { throw std::runtime_error("unhandled"); });
-    pool.shutdown();
-  }
-  set_unhandled_exception_hook(prev);
-  EXPECT_EQ(hook_hits.load(), 1);
-}
-
-TEST(SerialExecutor, StrictFifo) {
-  SerialExecutor ex("s");
-  std::vector<int> order;
-  common::CountdownLatch latch(20);
-  for (int i = 0; i < 20; ++i) {
-    ex.post([&, i] {
-      order.push_back(i);  // single thread: no race
-      latch.count_down();
-    });
-  }
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
-  ASSERT_EQ(order.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(SerialExecutor, SingleThreadServesEverything) {
-  SerialExecutor ex("s");
-  std::set<std::thread::id> ids;
-  std::mutex mu;
-  common::CountdownLatch latch(10);
-  for (int i = 0; i < 10; ++i) {
-    ex.post([&] {
-      {
-        std::scoped_lock lk(mu);
-        ids.insert(std::this_thread::get_id());
-      }
-      latch.count_down();
-    });
-  }
-  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
-  EXPECT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ex.concurrency(), 1u);
-}
-
-TEST(InlineExecutor, RunsSynchronously) {
-  InlineExecutor ex;
-  bool ran = false;
-  ex.post([&] { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_TRUE(ex.owns_current_thread());
-  EXPECT_FALSE(ex.try_run_one());
-  EXPECT_EQ(ex.pending(), 0u);
-}
-
 TEST(SimulatedDevice, CountsTransfersAndLaunches) {
   SimulatedDeviceExecutor::Config cfg;
   cfg.launch_latency = common::Micros{100};
@@ -447,6 +178,27 @@ TEST(SimulatedDevice, CountsTransfersAndLaunches) {
   EXPECT_EQ(dev.bytes_to_device(), 1'000'000u);
   EXPECT_EQ(dev.bytes_from_device(), 500u);
   EXPECT_EQ(dev.kernels_launched(), 2u);
+}
+
+TEST(SimulatedDevice, EverySubmissionPathPaysTheLaunch) {
+  SimulatedDeviceExecutor::Config cfg;
+  cfg.launch_latency = common::Micros{200};
+  SimulatedDeviceExecutor dev("device:2", 2, cfg);
+  EXPECT_EQ(dev.concurrency(), 1u);
+  common::CountdownLatch latch(4);
+  const common::Stopwatch sw;
+  dev.post([&] { latch.count_down(); });
+  EXPECT_TRUE(dev.try_post([&] { latch.count_down(); }));
+  std::vector<Task> burst;
+  burst.emplace_back([&] { latch.count_down(); });
+  burst.emplace_back([&] { latch.count_down(); });
+  dev.post_batch(burst);
+  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
+  EXPECT_GE(sw.elapsed_ms(), 0.8);  // four launches, one device thread
+  EXPECT_EQ(dev.kernels_launched(), 4u);
+  dev.shutdown();
+  EXPECT_FALSE(dev.try_post([] {}));
+  EXPECT_EQ(dev.kernels_launched(), 4u);
 }
 
 TEST(SimulatedDevice, TransferTakesModeledTime) {
@@ -515,9 +267,9 @@ void expect_causal_fifo(Executor& ex) {
   EXPECT_EQ(overtaken, 0) << "rounds where Y ran before X";
 }
 
-TEST(CausalFifo, SerialExecutor) {
-  SerialExecutor ex("serial");
-  expect_causal_fifo(ex);
+TEST(CausalFifo, OneThreadPool) {
+  WorkStealingExecutor pool("pool1", 1);
+  expect_causal_fifo(pool);
 }
 
 TEST(CausalFifo, EventLoop) {

@@ -18,7 +18,7 @@
 namespace evmp {
 namespace {
 
-enum class Backing { kCentralPool, kStealingPool, kSerial, kEdt };
+enum class Backing { kPool3, kPool1, kEdt };
 
 struct MatrixCase {
   Backing backing;
@@ -27,9 +27,8 @@ struct MatrixCase {
 
 std::string backing_name(Backing b) {
   switch (b) {
-    case Backing::kCentralPool: return "central";
-    case Backing::kStealingPool: return "stealing";
-    case Backing::kSerial: return "serial";
+    case Backing::kPool3: return "pool3";
+    case Backing::kPool1: return "pool1";
     case Backing::kEdt: return "edt";
   }
   return "?";
@@ -40,21 +39,15 @@ class RuntimeMatrix : public ::testing::TestWithParam<MatrixCase> {
   void SetUp() override {
     edt_.start();
     rt_.register_edt("edt", edt_);
-    rt_.create_worker("central", 3);
-    rt_.create_stealing_worker("stealing", 3);
-    serial_ = std::make_unique<exec::SerialExecutor>("serial");
-    rt_.register_executor("serial", *serial_);
+    rt_.create_worker("pool3", 3);
+    rt_.create_worker("pool1", 1);
   }
-  void TearDown() override {
-    rt_.clear();
-    serial_->shutdown();
-  }
+  void TearDown() override { rt_.clear(); }
 
   std::string target_for(Backing b) { return backing_name(b); }
 
   Runtime rt_;
   event::EventLoop edt_{"edt"};
-  std::unique_ptr<exec::SerialExecutor> serial_;
 };
 
 TEST_P(RuntimeMatrix, BurstRunsEveryBlockExactlyOnce) {
@@ -124,8 +117,7 @@ TEST_P(RuntimeMatrix, MatchesDisabledSequentialResult) {
 
 std::vector<MatrixCase> matrix_cases() {
   std::vector<MatrixCase> cases;
-  for (Backing b : {Backing::kCentralPool, Backing::kStealingPool,
-                    Backing::kSerial, Backing::kEdt}) {
+  for (Backing b : {Backing::kPool3, Backing::kPool1, Backing::kEdt}) {
     for (Async m :
          {Async::kDefault, Async::kNowait, Async::kNameAs, Async::kAwait}) {
       cases.push_back({b, m});

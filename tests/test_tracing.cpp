@@ -9,7 +9,7 @@
 #include "common/sync.hpp"
 #include "common/tracing.hpp"
 #include "event/event_loop.hpp"
-#include "executor/thread_pool_executor.hpp"
+#include "executor/work_stealing_executor.hpp"
 
 namespace evmp::common {
 namespace {
@@ -76,7 +76,7 @@ TEST_F(TracingTest, EventLoopDispatchIsTraced) {
 }
 
 TEST_F(TracingTest, ExecutorTasksAreTraced) {
-  exec::ThreadPoolExecutor pool("traced-pool", 2);
+  exec::WorkStealingExecutor pool("traced-pool", 2);
   CountdownLatch latch(3);
   for (int i = 0; i < 3; ++i) {
     pool.post([&] { latch.count_down(); });

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/spin_wait.hpp"
 #include "common/sync.hpp"
 #include "core/runtime.hpp"
 #include "core/target.hpp"
@@ -47,8 +50,9 @@ TEST(WorkStealing, PostBatchAfterShutdownIsDropped) {
   std::vector<Task> tasks;
   tasks.emplace_back([&] { ran.store(true); });
   pool.post_batch(tasks);
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  // shutdown() joined every worker: nothing can run it later.
   EXPECT_FALSE(ran.load());
+  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(WorkStealing, RunsAllTasks) {
@@ -135,6 +139,7 @@ TEST(WorkStealing, ForeignTryRunOneHelps) {
   pool.post([&] { ran.store(true); });
   EXPECT_TRUE(pool.try_run_one());  // foreign thread steals the queued task
   EXPECT_TRUE(ran.load());
+  EXPECT_FALSE(pool.try_run_one());  // nothing left queued
   release.set();
 }
 
@@ -145,9 +150,14 @@ TEST(WorkStealing, ShutdownDrainsAllQueues) {
     for (int i = 0; i < 100; ++i) {
       pool.post([&] { count.fetch_add(1); });
     }
+    std::vector<Task> tasks;
+    for (int i = 0; i < 50; ++i) {
+      tasks.emplace_back([&] { count.fetch_add(1); });
+    }
+    pool.post_batch(tasks);
     pool.shutdown();
   }
-  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(count.load(), 150);
 }
 
 TEST(WorkStealing, PostAfterShutdownIsDropped) {
@@ -155,8 +165,131 @@ TEST(WorkStealing, PostAfterShutdownIsDropped) {
   pool.shutdown();
   std::atomic<bool> ran{false};
   pool.post([&] { ran.store(true); });
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  // shutdown() joined every worker: nothing can run it later.
   EXPECT_FALSE(ran.load());
+  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_FALSE(pool.try_post([&] { ran.store(true); }));
+}
+
+TEST(WorkStealing, PostsRacingShutdownAreRunOrRefusedNeverLost) {
+  // Foreign producers hammer try_post() while shutdown() closes the pool.
+  // Each task is either run or refused with `false`; none is lost, none
+  // runs twice. Every task holds a copy of `token`, so its use count
+  // proves each task object — run or refused — was destroyed, i.e. no
+  // queued node leaked.
+  constexpr int kProducers = 4;
+  for (int round = 0; round < 20; ++round) {
+    WorkStealingExecutor pool("ws.race", 2);
+    auto token = std::make_shared<int>(0);
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> ran{0};
+    std::atomic<bool> shut{false};
+    std::vector<std::jthread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&] {
+        // Until refused — or, should the pool keep accepting, until
+        // shutdown() has returned.
+        while (!shut.load(std::memory_order_acquire)) {
+          Task task([&ran, token] { ran.fetch_add(1); });
+          if (!pool.try_post(std::move(task))) break;
+          accepted.fetch_add(1);
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100 * (round % 5)));
+    pool.shutdown();
+    shut.store(true, std::memory_order_release);
+    producers.clear();
+    EXPECT_EQ(ran.load(), accepted.load()) << "round " << round;
+    EXPECT_EQ(token.use_count(), 1) << "round " << round;
+    EXPECT_EQ(pool.pending(), 0u) << "round " << round;
+  }
+}
+
+TEST(WorkStealing, ZeroThreadsClampedToOne) {
+  WorkStealingExecutor pool("ws", 0);
+  EXPECT_EQ(pool.concurrency(), 1u);
+}
+
+TEST(WorkStealing, CurrentIsThePoolInsideTasks) {
+  WorkStealingExecutor pool("ws", 1);
+  Executor* observed = nullptr;
+  common::CountdownLatch latch(1);
+  pool.post([&] {
+    observed = Executor::current();
+    latch.count_down();
+  });
+  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
+  EXPECT_EQ(observed, &pool);
+  EXPECT_EQ(Executor::current(), nullptr);
+}
+
+TEST(WorkStealing, OneThreadPostBatchRunsInSubmissionOrder) {
+  // A foreign burst is spliced into the injection queue in order, and one
+  // worker takes it front to back: the same as N posts.
+  WorkStealingExecutor pool("ws", 1);
+  std::vector<int> order;
+  common::CountdownLatch latch(20);
+  std::vector<Task> tasks;
+  for (int i = 0; i < 20; ++i) {
+    tasks.emplace_back([&, i] {
+      order.push_back(i);  // single worker: no race
+      latch.count_down();
+    });
+  }
+  pool.post_batch(tasks);
+  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{5}));
+  ASSERT_EQ(order.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  pool.shutdown();  // counter increments after the task body returns
+  EXPECT_EQ(pool.tasks_executed(), 20u);
+}
+
+TEST(WorkStealing, ShutdownDuringTheSpinWindowIsPrompt) {
+  // An idle worker stays awake probing the queues through the spin window
+  // before it parks. A worker still in its window must see shutdown() by
+  // itself and exit, not wait for a wake it will never get. Sweep the
+  // shutdown across the window.
+  const auto window = common::SpinWait::window();
+  for (int round = 0; round < 60; ++round) {
+    WorkStealingExecutor pool("ws.window", 2);
+    std::atomic<bool> ran{false};
+    pool.post([&ran] { ran.store(true); });
+    while (!ran.load()) std::this_thread::yield();
+    const auto offset = window * (round % 12) / 10;
+    const auto until = std::chrono::steady_clock::now() + offset;
+    while (std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();  // a worker may share this CPU
+    }
+    const auto begin = std::chrono::steady_clock::now();
+    pool.shutdown();
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(1))
+        << "round " << round;
+  }
+}
+
+TEST(WorkStealing, ManyForeignProducers) {
+  WorkStealingExecutor pool("ws", 4);
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 200;
+  common::CountdownLatch latch(kProducers * kPerProducer);
+  {
+    std::vector<std::jthread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          pool.post([&] { latch.count_down(); });
+        }
+      });
+    }
+  }
+  ASSERT_TRUE(latch.wait_for(std::chrono::seconds{30}));
+  pool.shutdown();
+  EXPECT_EQ(pool.tasks_executed(),
+            static_cast<std::uint64_t>(kProducers) * kPerProducer);
+  EXPECT_EQ(pool.queue_stats().pushes,
+            static_cast<std::uint64_t>(kProducers) * kPerProducer);
 }
 
 TEST(WorkStealing, WorksAsVirtualTarget) {
@@ -304,6 +437,21 @@ TEST(WorkStealing, ForeignProducersAndHelperRaceParkedWorkers) {
   EXPECT_EQ(pool.local_pops() + pool.steals() + pool.injection_pops(),
             static_cast<std::uint64_t>(kTasks));
   EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(UnhandledHook, ReceivesFireAndForgetExceptions) {
+  static std::atomic<int> hook_hits{0};
+  hook_hits.store(0);  // the static outlives a --gtest_repeat pass
+  auto prev = unhandled_exception_hook();
+  set_unhandled_exception_hook(
+      [](std::string_view, std::exception_ptr) { hook_hits.fetch_add(1); });
+  {
+    WorkStealingExecutor pool("ws", 1);
+    pool.post([] { throw std::runtime_error("unhandled"); });
+    pool.shutdown();
+  }
+  set_unhandled_exception_hook(prev);
+  EXPECT_EQ(hook_hits.load(), 1);
 }
 
 }  // namespace
